@@ -33,7 +33,7 @@ from .planner import (
     select_candidate,
 )
 from .sim import evaluate
-from .traces import coarsen, generate_synthetic, load_trace, mean_trace
+from .traces import coarsen, generate_synthetic, load_trace, mean_trace, write_text_atomic
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -131,14 +131,19 @@ def _resolve_trace(trace_path, synthetic_seed, slot_period) -> CapacityTrace:
     else:
         trace = generate_synthetic(default_trace_config(synthetic_seed))
     if slot_period is not None:
-        factor = slot_period / trace.slot_duration
-        if abs(factor - round(factor)) > 1e-9 or factor < 1:
-            _fail(
-                EXIT_CONFIG,
-                f"--slot {slot_period} is not a multiple of the trace slot duration {trace.slot_duration}",
-            )
-        trace = coarsen(trace, int(round(factor)))
+        trace = coarsen(trace, _slot_factor(slot_period, trace.slot_duration))
     return trace
+
+
+def _slot_factor(slot_period, slot_duration) -> int:
+    """How many trace slots make one --slot period; exits 4 unless whole."""
+    factor = slot_period / slot_duration
+    if abs(factor - round(factor)) > 1e-9 or factor < 1:
+        _fail(
+            EXIT_CONFIG,
+            f"--slot {slot_period} is not a multiple of the trace slot duration {slot_duration}",
+        )
+    return int(round(factor))
 
 
 def _invest_config(mode, quantum_q):
@@ -161,7 +166,7 @@ def _write_csv(path, name: str, rows: list[dict]) -> None:
         if set(row) != set(columns):
             raise AbrPlanError(f"row {row} does not match schema {name}")
         lines.append(",".join(_csv_cell(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -231,7 +236,7 @@ def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, ou
         "metadata": {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")},
     }
     jsonschema.validate(report, PLAN_REPORT_SCHEMA)
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
+    write_text_atomic(out, json.dumps(report, indent=2) + "\n")
     click.echo(f"alpha_th={best.alpha} cost={report['cost']:.6g} -> {out}")
 
 
@@ -274,7 +279,7 @@ def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period,
                 "arrived_frames": list(best.outcome.arrived_frames),
                 "watched_frames": list(best.outcome.watched_frames),
             }
-            (dump_dir / f"trajectory_a={a:g}.json").write_text(json.dumps(dump, indent=2) + "\n")
+            write_text_atomic(dump_dir / f"trajectory_a={a:g}.json", json.dumps(dump, indent=2) + "\n")
     _write_csv(out, "sweep_a", rows)
     click.echo(f"{len(rows)} rows -> {out}")
 
@@ -344,9 +349,12 @@ def cmd_robustness(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
         realizations = [load_trace(f) for f in files]
     except (TraceFormatError, OSError) as exc:
         _fail(EXIT_IO, str(exc))
-    base_trace = mean_trace(realizations)
+    try:
+        base_trace = mean_trace(realizations)
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, f"realizations in {trace_dir}: {exc}")
     if slot_period is not None:
-        factor = int(round(slot_period / base_trace.slot_duration))
+        factor = _slot_factor(slot_period, base_trace.slot_duration)
         base_trace = coarsen(base_trace, factor)
         realizations = [coarsen(t, factor) for t in realizations]
     try:

@@ -51,6 +51,11 @@ class CapacityTrace:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Capacities summed up to each slot boundary; see ``_running_sum``."""
+        return _running_sum(self.as_array)
+
     @property
     def n_slots(self) -> int:
         return len(self.capacities)
@@ -208,19 +213,42 @@ class ThresholdSchedule:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Rates summed up to each slot boundary; see ``_running_sum``."""
+        return _running_sum(self.as_array)
+
     @property
     def active_slots(self) -> np.ndarray:
         return self.as_array > 0
 
 
+def _running_sum(rates: np.ndarray) -> np.ndarray:
+    """Per-slot rates summed up to each slot boundary, starting at 0
+    (length n_slots + 1). Times the slot duration, it is the bits sent at
+    those rates by each boundary."""
+    arr = np.concatenate(([0.0], np.cumsum(rates)))
+    arr.flags.writeable = False
+    return arr
+
+
 def make_threshold_schedule(trace: CapacityTrace, alpha: float) -> ThresholdSchedule:
     """Build the threshold schedule for ``alpha``: r_k = c_k if c_k >= alpha
-    else 0."""
+    else 0.
+
+    The trace keeps the last schedule built for it, so the many probes made
+    at one threshold share one schedule and its cached arrays.
+    """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    last = vars(trace).get("_last_schedule")
+    if last is not None and last.alpha == alpha:
+        return last
     c = trace.as_array
     rates = np.where(c >= alpha, c, 0.0)
-    return ThresholdSchedule(alpha=float(alpha), per_slot_rate=tuple(rates.tolist()))
+    schedule = ThresholdSchedule(alpha=float(alpha), per_slot_rate=tuple(rates.tolist()))
+    vars(trace)["_last_schedule"] = schedule
+    return schedule
 
 
 @dataclass(frozen=True)

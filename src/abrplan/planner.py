@@ -397,7 +397,9 @@ def plan_with_stalls(
             utilization=result.outcome.utilization,
             quality=result.outcome.quality,
             cost=result.outcome.cost,
-            session_length=session_length_of(result.outcome, spec, trace.slot_duration),
+            session_length=session_length(
+                spec, result.outcome.startup_slot * trace.slot_duration, result.outcome.stall_events
+            ),
         )
     cuts = policy.stall_segments or detect_stall_segments(trace, spec, policy.n_stalls, config)
     if cuts[0] < 2 or cuts[-1] > spec.n_segments:
@@ -428,11 +430,15 @@ def plan_with_stalls(
         bits = np.asarray(result.outcome.bits_used_per_slot)
         all_bits[offset : offset + bits.shape[0]] += bits
         all_levels.extend(result.plan.segment_levels)
-        length = session_length_of(result.outcome, part_spec, trace.slot_duration)
+        length = session_length(
+            part_spec, result.outcome.startup_slot * trace.slot_duration, result.outcome.stall_events
+        )
         total_length += length
         offset += int(np.ceil(length / trace.slot_duration - 1e-9))
     sigma = compute_utilization(trace, all_bits, total_length)
-    rho = compute_quality(spec, _quality_view(all_levels, spec))
+    # concatenated part plans restart at level 1, so they are not globally
+    # ascending; quality only depends on level multiplicities
+    rho = compute_quality(spec, QualityPlan(tuple(all_levels)))
     return PartitionedPlan(
         parts=tuple(parts),
         cut_segments=tuple(cuts),
@@ -442,17 +448,6 @@ def plan_with_stalls(
         cost=compute_cost(sigma, rho, a),
         session_length=total_length,
     )
-
-
-def _quality_view(levels: list[int], spec: VideoSpec) -> QualityPlan:
-    # concatenated part plans restart at level 1, so they are not globally
-    # ascending; quality only depends on level multiplicities
-    return QualityPlan(tuple(levels))
-
-
-def session_length_of(outcome: SessionOutcome, spec: VideoSpec, slot_duration: float) -> float:
-    stall_time = sum(sec for _, sec in outcome.stall_events)
-    return outcome.startup_slot * slot_duration + spec.total_frames / spec.frame_rate + stall_time
 
 
 def relative_performance_error(perf_real: float, perf_mean: float) -> float:

@@ -72,7 +72,7 @@ def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
     runs: maximal stretches with constant level and constant phase."""
     levels = plan.as_array
     n_cache = spec.cache_segments
-    cuts = set((np.flatnonzero(np.diff(levels) != 0) + 1).tolist())
+    cuts = set(((levels[1:] != levels[:-1]).nonzero()[0] + 1).tolist())
     if prefetch_greedy and n_cache < spec.n_segments:
         cuts.add(n_cache)
     bounds = sorted(cuts) + [spec.n_segments]
@@ -102,77 +102,67 @@ def transmit_video(
 ) -> TransmitResult:
     """Deliver frames in order under the schedule; see the module docstring
     for the transmission rules. ``completed`` is False (not an error) when
-    the window ends before the last frame."""
+    the window ends before the last frame.
+
+    Delivery goes one run (see ``_runs``) at a time. A run starts at a
+    position on the cumulative-capacity curve of its phase: the trace for
+    greedy cache traffic, the schedule otherwise. The frames it has
+    delivered by a slot boundary are the whole frames that fit between that
+    position and the curve there, and one search finds the slot where it
+    completes. The rest of that slot is wasted, so the next run starts in
+    the slot after, unless it keeps the level, which happens only where the
+    cache phase ends.
+    """
     plan.validate(spec)
-    c = trace.as_array
-    r = schedule.as_array
-    if r.shape != c.shape:
+    if schedule.as_array.shape != trace.as_array.shape:
         raise ValueError("schedule was built on a different trace")
     dt = trace.slot_duration
     n_slots = trace.n_slots
-    total = spec.total_frames
-
     runs = _runs(spec, plan, config.prefetch_greedy)
-    bits_used = np.zeros(n_slots)
-    arrivals = np.empty(total) if record_times else None
+    moved = np.zeros(n_slots + 1)  # bits / dt delivered by each slot boundary
     boundary = np.zeros(n_slots + 1, dtype=np.int64)
+    arrivals = np.empty(spec.total_frames) if record_times else None
 
-    f = 0
-    run_i = 0
-    frame_rem = runs[0][2]  # bits still needed for the current frame
-    for k in range(n_slots):
-        if f >= total:
-            boundary[k + 1 :] = total
+    # positions and frame costs are in bits / dt, so the cached running sums
+    # of the rates serve as the cumulative-capacity curves without scaling
+    f, base = 0, 0.0  # frames and bits delivered before the current run
+    k, used = 0, 0.0  # slot the current run starts in, fraction of it already used
+    last = 0  # last slot boundary written
+    for i, (run_end, level, frame_bits, greedy) in enumerate(runs):
+        if k >= n_slots:
             break
-        time_left = dt
-        slot_level = None
-        sent_slot = 0.0
-        while time_left > _EPS * dt and f < total:
-            run_end, level, cost, greedy = runs[run_i]
-            if slot_level is not None and level != slot_level:
-                break  # one level per slot: waste the residual capacity
-            rate = c[k] if greedy else r[k]
-            if rate <= 0.0:
-                break
-            slot_level = level
-            budget = rate * time_left
-            need = frame_rem + (run_end - f - 1) * cost
-            t0 = k * dt + (dt - time_left)
-            if budget >= need * (1 - _EPS) - _EPS:
-                m = run_end - f
-                if record_times:
-                    arrivals[f : f + m] = t0 + (frame_rem + np.arange(m) * cost) / rate
-                sent_slot += need
-                time_left -= need / rate
-                f = run_end
-                run_i += 1
-                if run_i < len(runs):
-                    frame_rem = runs[run_i][2]
-            else:
-                if budget >= frame_rem - _EPS * cost:
-                    # finish the current frame plus any whole frames after it
-                    m = min(1 + int((budget - frame_rem) / cost + _EPS), run_end - f)
-                    if record_times:
-                        arrivals[f : f + m] = t0 + (frame_rem + np.arange(m) * cost) / rate
-                    f += m
-                    leftover = budget - frame_rem - (m - 1) * cost
-                    frame_rem = min(cost, max(cost - leftover, _EPS * cost))
-                    if f >= run_end:  # numerically exact run boundary
-                        run_i += 1
-                        if run_i < len(runs):
-                            frame_rem = runs[run_i][2]
-                else:
-                    frame_rem -= budget
-                sent_slot += budget
-                time_left = 0.0
-        bits_used[k] = sent_slot
-        boundary[k + 1] = f
-    completed = f >= total
-    times = arrivals[:f] if record_times else None
+        phase = trace if greedy else schedule
+        rate, cum = phase.as_array, phase.cumulative
+        cost = frame_bits / dt
+        start = float(cum[k] + rate[k] * used)
+        stop = start + (run_end - f) * cost
+        j = int(cum.searchsorted(stop - _EPS * cost))  # boundary where the run completes
+        last = min(j, n_slots)
+        pos = np.minimum(np.maximum(cum[k + 1 : last + 1], start), stop)
+        moved[k + 1 : last + 1] = pos + (base - start)
+        # whole frames done: (pos - start) / cost + f, with _EPS of slack
+        boundary[k + 1 : last + 1] = np.floor((pos - (start - (f + _EPS) * cost)) / cost)
+        if j <= n_slots:
+            boundary[j], moved[j] = run_end, base + (stop - start)
+        if record_times:
+            m = boundary[last] - f
+            target = start + cost * np.arange(1, m + 1)
+            slot = np.clip(cum.searchsorted(target - _EPS * cost) - 1, k, last - 1)
+            arrivals[f : f + m] = (slot + (target - cum[slot]) / rate[slot]) * dt
+        f, base = int(boundary[last]), float(moved[last])
+        if j > n_slots:
+            break
+        used = (stop - cum[j - 1]) / rate[j - 1]
+        if i + 1 < len(runs) and runs[i + 1][1] == level and used < 1 - _EPS:
+            k = j - 1
+        else:
+            k, used = j, 0.0
+    boundary[last + 1 :] = f
+    moved[last + 1 :] = base
     return TransmitResult(
-        bits_used_per_slot=bits_used,
-        frame_arrival_times=times,
-        completed=completed,
+        bits_used_per_slot=(moved[1:] - moved[:-1]) * dt,
+        frame_arrival_times=arrivals[:f] if record_times else None,
+        completed=f >= spec.total_frames,
         frames_at_boundary=boundary,
     )
 
@@ -298,28 +288,21 @@ def exist_violation(
     u = tx.frames_at_boundary
     total = spec.total_frames
     q0 = min(spec.prefetch_frames, total)
-    startup = int(np.searchsorted(u, q0, side="left"))
+    startup = int(u.searchsorted(q0))
     n_cp = u.shape[0] - 1
     if startup > n_cp:
         return True
     step = spec.frame_rate * trace.slot_duration
-    ramp = np.clip((np.arange(n_cp + 1) - startup) * step, 0.0, float(total))
+    ramp = np.minimum((np.arange(n_cp + 1) - startup) * step, float(total))  # < 0 before startup
     if ramp[-1] < total - _EPS:
         return True  # window ends before playback finishes
-    return bool(np.any(ramp > u + _EPS))
+    return bool((ramp > u + _EPS).any())
 
 
-def session_length(traj: Trajectory, spec: VideoSpec) -> float:
+def session_length(spec: VideoSpec, startup_delay: float, stall_events) -> float:
     """Seconds from request to the last watched frame: start-up delay plus
-    playback time plus any stall time."""
-    if traj.startup_checkpoint is None:
-        raise InfeasiblePlanError("playback never started")
-    stall_time = sum(sec for _, sec in traj.stall_events)
-    return (
-        traj.startup_checkpoint * traj.checkpoint_dt
-        + spec.total_frames / spec.frame_rate
-        + stall_time
-    )
+    playback time plus the seconds of each (position, seconds) stall."""
+    return startup_delay + spec.total_frames / spec.frame_rate + sum(sec for _, sec in stall_events)
 
 
 def evaluate(
@@ -346,7 +329,7 @@ def evaluate(
     traj = run.trajectory
     if traj.startup_checkpoint is None:
         raise InfeasiblePlanError("playback never started within the window")
-    length = session_length(traj, spec)
+    length = session_length(spec, traj.startup_checkpoint * traj.checkpoint_dt, traj.stall_events)
     sigma = compute_utilization(trace, run.transmit.bits_used_per_slot, length)
     rho = compute_quality(spec, plan)
     # report u/l on the slot grid regardless of checkpoint granularity

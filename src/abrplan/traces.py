@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,10 +225,24 @@ _TRACE_HEADER = "slot_index,capacity_bps"
 def save_trace(trace: CapacityTrace, path) -> None:
     """Export as CSV: one comment line carrying the slot duration, then
     (slot_index, capacity_bps) rows. Round-trips bit-exactly."""
-    path = Path(path)
     lines = [f"# slot_duration={trace.slot_duration!r}", _TRACE_HEADER]
     lines += [f"{i},{c!r}" for i, c in enumerate(trace.capacities)]
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step: write a temp
+    file in the same directory, then ``os.replace`` it over the target.
+    Readers see the old content or the new, never a part; when any step
+    fails the temp file is removed and the target is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_trace(path) -> CapacityTrace:

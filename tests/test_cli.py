@@ -265,6 +265,31 @@ class TestRobustness:
             assert float(r["p_error_rho"]) == 0.0
             assert r["stalled"] == "false"
 
+    @pytest.mark.parametrize(
+        "slots, slot_period",
+        [((16, 16), "0.5"), ((16, 12), None)],
+        ids=["slot-below-trace-slot", "realization-lengths-differ"],
+    )
+    def test_bad_realizations_or_slot_are_config_errors(
+        self, runner, video_file, tmp_path, slots, slot_period
+    ):
+        trace_dir = tmp_path / "realizations"
+        trace_dir.mkdir()
+        for seed, n in enumerate(slots):
+            save_trace(
+                generate_synthetic(SyntheticTraceConfig(1.5e6, n, seed=seed)),
+                trace_dir / f"r{seed}.csv",
+            )
+        args = ["robustness", "--video", video_file, "--trace-dir", str(trace_dir),
+                "--a", "2", "--out", str(tmp_path / "rob.csv")]
+        if slot_period is not None:
+            args += ["--slot", slot_period]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
     def test_empty_dir_is_io_error(self, runner, video_file, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

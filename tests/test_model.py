@@ -127,6 +127,12 @@ class TestThresholdSchedule:
         t = CapacityTrace(1.0, (1 * MBPS, 3 * MBPS, 2 * MBPS, 5 * MBPS))
         s = make_threshold_schedule(t, 2.5 * MBPS)
         assert s.per_slot_rate == (0.0, 3 * MBPS, 0.0, 5 * MBPS)
+        assert s.cumulative.tolist() == [0.0, 0.0, 3 * MBPS, 3 * MBPS, 8 * MBPS]
+        # the trace keeps its last schedule: the same alpha gets the same
+        # object back, another alpha replaces it
+        assert make_threshold_schedule(t, 2.5 * MBPS) is s
+        assert make_threshold_schedule(t, 0.0).per_slot_rate == t.capacities
+        assert make_threshold_schedule(t, 2.5 * MBPS).per_slot_rate == s.per_slot_rate
 
     def test_alpha_zero_is_greedy(self):
         t = CapacityTrace(1.0, (1.0, 2.0, 0.0))

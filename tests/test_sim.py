@@ -11,8 +11,11 @@ from abrplan import (
     QualityPlan,
     SimConfig,
     VideoSpec,
+    default_trace_config,
+    default_video_spec,
     evaluate,
     exist_violation,
+    generate_synthetic,
     make_threshold_schedule,
     playback_trajectory,
     run_session,
@@ -58,8 +61,9 @@ class TestHandCheckedSession:
         assert out.cost == pytest.approx(0.6 - 2.0 * 0.75)
 
     def test_session_length(self, toy_spec, toy_trace):
-        run = run_session(toy_trace, self.ALPHA, toy_spec, self.PLAN)
-        assert session_length(run.trajectory, toy_spec) == pytest.approx(5.0)
+        traj = run_session(toy_trace, self.ALPHA, toy_spec, self.PLAN).trajectory
+        startup_delay = traj.startup_checkpoint * traj.checkpoint_dt
+        assert session_length(toy_spec, startup_delay, traj.stall_events) == pytest.approx(5.0)
 
 
 class TestTransmissionRules:
@@ -255,31 +259,45 @@ class TestCheckpointGranularity:
 class TestAgainstReference:
     """Cross-validation against the independent re-simulation oracle."""
 
+    @staticmethod
+    def _ascending_plan(rng, spec):
+        """Cache at level 1, then one random breakpoint per higher level
+        (coinciding breakpoints skip a level)."""
+        levels = np.ones(spec.n_segments, dtype=int)
+        for cut in np.sort(rng.integers(spec.cache_segments, spec.n_segments + 1, spec.n_levels - 1)):
+            levels[cut:] += 1
+        return QualityPlan(tuple(levels.tolist()))
+
     def test_transmission_agrees(self):
         rng = np.random.default_rng(42)
-        for _ in range(120):
-            spec, trace = random_small_instance(rng)
-            levels = [1] * spec.n_segments
-            for i in range(spec.cache_segments, spec.n_segments):
-                levels[i] = int(rng.integers(levels[i - 1] if i else 1, spec.n_levels + 1))
-            plan = QualityPlan(tuple(levels))
+        # stock-size windows: runs span many slots and partial frames carry
+        # across many boundaries
+        stock = [
+            (default_video_spec(), generate_synthetic(default_trace_config(seed)))
+            for seed in range(3)
+        ]
+        for spec, trace in [random_small_instance(rng) for _ in range(120)] + stock:
+            plan = self._ascending_plan(rng, spec)
             alpha = float(rng.choice(list(trace.capacities) + [0.0]))
             sched = make_threshold_schedule(trace, alpha)
-            tx = transmit_video(trace, sched, spec, plan)
-            ref_bits, ref_times, ref_done = reference_transmit(trace, alpha, spec, plan)
-            assert tx.completed == ref_done
-            assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
-            assert np.allclose(tx.frame_arrival_times, ref_times, rtol=1e-6, atol=1e-6)
+            for greedy in (True, False):
+                tx = transmit_video(trace, sched, spec, plan, SimConfig(prefetch_greedy=greedy))
+                ref_bits, ref_times, ref_done = reference_transmit(trace, alpha, spec, plan, greedy)
+                ref_counts = np.searchsorted(
+                    ref_times,
+                    (np.arange(trace.n_slots + 1) + 1e-9) * trace.slot_duration,
+                    side="right",
+                )
+                assert tx.completed == ref_done
+                assert np.array_equal(tx.frames_at_boundary, ref_counts)
+                assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
+                assert np.allclose(tx.frame_arrival_times, ref_times, rtol=1e-6, atol=1e-6)
 
     def test_violation_agrees(self):
         rng = np.random.default_rng(43)
         for _ in range(150):
             spec, trace = random_small_instance(rng)
-            plan = QualityPlan.uniform(spec, int(rng.integers(1, spec.n_levels + 1)))
-            if any(l != 1 for l in plan.segment_levels[: spec.cache_segments]):
-                plan = QualityPlan(
-                    (1,) * spec.cache_segments + plan.segment_levels[spec.cache_segments :]
-                )
+            plan = self._ascending_plan(rng, spec)
             alpha = float(rng.choice(list(trace.capacities) + [0.0]))
             assert exist_violation(trace, alpha, spec, plan) == reference_violation(
                 trace, alpha, spec, plan

@@ -2,6 +2,7 @@
 spatial-to-temporal mapping, and the trace export format."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -225,6 +226,19 @@ class TestExportFormat:
         loaded = load_trace(path)
         assert loaded.slot_duration == t.slot_duration
         assert loaded.capacities == t.capacities
+
+    def test_failed_replace_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            save_trace(CapacityTrace(1.0, (1.0, 2.0)), path)
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
