@@ -1,0 +1,196 @@
+"""Per-layer timings of the planner on the stock instance.
+
+    python3 benchmarks/layers.py --out BENCH.json [--label NAME] [--src PATH] [--repeats 15]
+
+The instance is stock seed 0: the 180-segment, 5-level default video over
+the 190-slot window ``generate_synthetic(default_trace_config(0))``, in
+optimal-threshold mode, with a = 4.5 for candidate selection. Timed items:
+
+- ``probe``: one feasibility probe, ``exist_violation`` on the selected
+  plan at the selected threshold (the plan is built once, outside the
+  timing);
+- ``fit``: the level fit for the selected threshold, probes included; its
+  time divided by its probe count is the cost of a probe as the fit makes
+  it, plan construction included;
+- ``evaluate``: the full evaluation of the selected candidate;
+- ``select``: ``select_candidate`` over the seed's candidates;
+- ``load_trace``: loading the stock window from a trace CSV export;
+- ``enumerate``: one whole ``enumerate_candidates``, for reference.
+
+Each item runs ``--repeats`` times; one repeat calls it ``number`` times
+and records the mean per call. The report gives the median and quartiles
+over the repeats, the probe counts of the fit and of the enumeration, and
+the Python and numpy versions. The run is appended to the JSON list in
+``--out``. ``--src`` selects the ``src`` directory that ``abrplan`` is
+imported from (default: this checkout's), so one copy of this script can
+time two versions of the program.
+
+Uses the standard library and numpy only; single process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+STOCK_SEED = 0
+STOCK_A = 4.5
+# calls per repeat, chosen so that one repeat of each item takes 10-100 ms
+NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1}
+
+
+def import_abrplan(src: Path):
+    sys.path.insert(0, str(src))
+    import abrplan
+    import abrplan.planner
+
+    if Path(abrplan.__file__).resolve().parent != (src / "abrplan").resolve():
+        raise SystemExit(f"abrplan was imported from {abrplan.__file__}, not from {src}")
+    return abrplan
+
+
+def git_state(src: Path):
+    def git(*args):
+        try:
+            out = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True, check=True)
+        except (OSError, subprocess.CalledProcessError):
+            return None
+        return out.stdout.strip()
+
+    commit = git("rev-parse", "HEAD")
+    dirty = git("status", "--porcelain", "--", ".")
+    return commit, None if dirty is None else bool(dirty)
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def time_item(fn, repeats: int, number: int) -> dict:
+    """Seconds per call: median and quartiles over ``repeats`` repeats of
+    ``number`` calls, after one untimed call."""
+    fn()
+    per_call = []
+    for _ in range(repeats):
+        t0 = perf_counter()
+        for _ in range(number):
+            fn()
+        per_call.append((perf_counter() - t0) / number)
+    q1, _, q3 = statistics.quantiles(per_call, n=4)
+    return {
+        "median_s": statistics.median(per_call),
+        "q1_s": q1,
+        "q3_s": q3,
+        "repeats": repeats,
+        "number": number,
+    }
+
+
+def count_probes(ap, fn) -> int:
+    """Feasibility probes the planner makes while ``fn`` runs."""
+    calls = 0
+    original = ap.planner.exist_violation
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    ap.planner.exist_violation = counted
+    try:
+        fn()
+    finally:
+        ap.planner.exist_violation = original
+    return calls
+
+
+def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
+    spec = ap.default_video_spec()
+    trace = ap.generate_synthetic(ap.default_trace_config(STOCK_SEED))
+    trace_csv = workdir / "stock-0.csv"
+    ap.save_trace(trace, trace_csv)
+    planner = ap.planner
+
+    candidates, examined = planner.enumerate_candidates(trace, spec)
+    best = planner.select_candidate(candidates, STOCK_A)
+    alpha, plan = best.alpha, best.plan
+
+    counts = {
+        "thresholds_examined": examined,
+        "candidates": len(candidates),
+        "enumerate_probes": count_probes(ap, lambda: planner.enumerate_candidates(trace, spec)),
+        "fit_probes": count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec)),
+        "selected_alpha": alpha,
+    }
+    items = {
+        "probe": lambda: ap.exist_violation(trace, alpha, spec, plan),
+        "fit": lambda: planner.fit_ascending_levels(trace, alpha, spec),
+        "evaluate": lambda: ap.evaluate(trace, alpha, spec, plan, a=0.0),
+        "select": lambda: planner.select_candidate(candidates, STOCK_A),
+        "load_trace": lambda: ap.load_trace(trace_csv),
+        "enumerate": lambda: planner.enumerate_candidates(trace, spec),
+    }
+    timings = {name: time_item(fn, repeats, NUMBER[name]) for name, fn in items.items()}
+    timings["fit_per_probe"] = {
+        key: value / counts["fit_probes"] if key.endswith("_s") else value
+        for key, value in timings["fit"].items()
+    }
+    return counts, timings
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True, help="JSON file the run is appended to")
+    parser.add_argument("--label", default="", help="name for the run, such as the version it times")
+    parser.add_argument("--src", type=Path, default=REPO_ROOT / "src", help="the src directory to import abrplan from")
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be >= 2")
+
+    ap = import_abrplan(args.src)
+    with tempfile.TemporaryDirectory() as tmp:
+        counts, timings = measure(ap, args.repeats, Path(tmp))
+    commit, dirty = git_state(args.src)
+    record = {
+        "label": args.label,
+        "commit": commit,
+        "uncommitted_changes": dirty,
+        "instance": f"stock seed {STOCK_SEED}, optimal mode, a = {STOCK_A}",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu": cpu_model(),
+        "nproc": os.cpu_count(),
+        "counts": counts,
+        "timings": timings,
+    }
+    runs = json.loads(args.out.read_text()) if args.out.exists() else []
+    runs.append(record)
+    args.out.write_text(json.dumps(runs, indent=2) + "\n")
+
+    for name, key in counts.items():
+        print(f"  {name:<22} {key}")
+    for name, t in timings.items():
+        print(f"  {name:<22} {1e6 * t['median_s']:>12.1f} us  [{1e6 * t['q1_s']:.1f}, {1e6 * t['q3_s']:.1f}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

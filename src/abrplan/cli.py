@@ -177,6 +177,16 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _check_jobs(ctx, param, jobs):
+    """--jobs callback: exits 4 unless it is >= 1, and unless it is 1 on a
+    command that runs serially (all but bench)."""
+    if jobs < 1:
+        _fail(EXIT_CONFIG, "--jobs must be >= 1")
+    if jobs > 1 and ctx.command.name != "bench":
+        _fail(EXIT_CONFIG, f"{ctx.command.name} runs serially: --jobs must be 1")
+    return jobs
+
+
 def _common_options(f):
     f = click.option("--video", type=click.Path(), default=None, help="video spec JSON (defaults to the stock 3-minute video)")(f)
     f = click.option("--trace", "trace_path", type=click.Path(), default=None, help="capacity trace CSV export")(f)
@@ -185,11 +195,22 @@ def _common_options(f):
     f = click.option("--quantum-q", type=float, default=None, help="bits abandoned per threshold step (invest mode)")(f)
     f = click.option("--slot", "slot_period", type=float, default=None, help="resample the trace to this sampling period in seconds")(f)
     f = click.option("--out", type=click.Path(), required=True, help="output file")(f)
-    f = click.option("--jobs", type=int, default=1, show_default=True, help="parallel workers for sweep cells")(f)
+    f = click.option("--jobs", type=int, default=1, show_default=True, callback=_check_jobs, help="parallel workers for sweep cells (bench only)")(f)
     return f
 
 
-@click.group(context_settings={"auto_envvar_prefix": "ABRPLAN"})
+class _Group(click.Group):
+    """Ends a command that leaves an OSError uncaught (an output file or
+    directory that cannot be written) with exit 3 and a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            _fail(EXIT_IO, f"I/O failure: {exc}")
+
+
+@click.group(cls=_Group, context_settings={"auto_envvar_prefix": "ABRPLAN"})
 @click.version_option(version=__version__, prog_name="abrplan")
 def main():
     """Anticipative streaming planner experiment driver."""

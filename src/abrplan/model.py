@@ -164,14 +164,61 @@ def weights_from_bitrates(bitrates: Sequence[float], proportional_to_sum: bool =
     return tuple(b / denom for b in bs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QualityPlan:
-    """Per-segment quality assignment (1-based level indices)."""
+    """Per-segment quality assignment (1-based level indices), held as
+    runs: ``runs[i] = (first_segment, level)``, and run i ends where run
+    i + 1 starts (the last at ``n_segments``). Runs are canonical (none
+    empty, no two adjacent at one level), so two plans are equal exactly
+    when their per-segment levels are.
 
-    segment_levels: tuple[int, ...]
+    ``QualityPlan(levels)`` compresses a per-segment sequence;
+    ``from_runs`` builds a plan in O(runs).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "segment_levels", tuple(int(v) for v in self.segment_levels))
+    runs: tuple[tuple[int, int], ...]
+    n_segments: int
+
+    def __init__(self, segment_levels: Sequence[int]):
+        levels = tuple(int(v) for v in segment_levels)
+        runs = tuple((i, v) for i, v in enumerate(levels) if i == 0 or v != levels[i - 1])
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "n_segments", len(levels))
+        self.__dict__["segment_levels"] = levels
+
+    @classmethod
+    def from_runs(cls, runs: Sequence[tuple[int, int]], n_segments: int) -> "QualityPlan":
+        """Plan from ``(first_segment, level)`` runs in segment order. The
+        first run starts at segment 0 and each run ends where the next one
+        starts; empty runs are dropped and adjacent runs at one level
+        merged."""
+        n = int(n_segments)
+        out: list[tuple[int, int]] = []
+        prev = None
+        for start, level in runs:
+            start, level = int(start), int(level)
+            if (start != 0 if prev is None else start < prev) or start > n:
+                raise ValueError("runs must start at segment 0 and follow in segment order")
+            prev = start
+            if out and out[-1][0] == start:
+                out.pop()  # the previous run is empty
+            if start < n and (not out or out[-1][1] != level):
+                out.append((start, level))
+        if n > 0 and not out:
+            raise ValueError("runs must cover every segment")
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "runs", tuple(out))
+        object.__setattr__(plan, "n_segments", n)
+        return plan
+
+    def spans(self) -> list[tuple[int, int, int]]:
+        """``(first_segment, end_segment, level)`` for each run."""
+        ends = [start for start, _ in self.runs[1:]] + [self.n_segments]
+        return [(start, end, level) for (start, level), end in zip(self.runs, ends)]
+
+    @cached_property
+    def segment_levels(self) -> tuple[int, ...]:
+        return tuple(level for start, end, level in self.spans() for _ in range(end - start))
 
     @cached_property
     def as_array(self) -> np.ndarray:
@@ -181,21 +228,23 @@ class QualityPlan:
 
     @classmethod
     def uniform(cls, spec: VideoSpec, level: int) -> "QualityPlan":
-        return cls((level,) * spec.n_segments)
+        return cls.from_runs(((0, level),), spec.n_segments)
 
     def validate(self, spec: VideoSpec) -> None:
         """Raise ValueError unless the plan fits ``spec``: correct length,
         levels in range, cache segments at level 1, non-decreasing after
-        the cache."""
-        levels = self.as_array
-        if levels.shape[0] != spec.n_segments:
-            raise ValueError(f"plan has {levels.shape[0]} segments, video has {spec.n_segments}")
-        if levels.min() < 1 or levels.max() > spec.n_levels:
+        the cache. O(runs)."""
+        if self.n_segments != spec.n_segments:
+            raise ValueError(f"plan has {self.n_segments} segments, video has {spec.n_segments}")
+        levels = [level for _, level in self.runs]
+        if min(levels) < 1 or max(levels) > spec.n_levels:
             raise ValueError("plan contains out-of-range level indices")
         cache = spec.cache_segments
-        if np.any(levels[:cache] != 1):
+        if any(level != 1 for start, level in self.runs if start < cache):
             raise ValueError("prefetch-cache segments must stay at level 1")
-        if np.any(np.diff(levels[cache:]) < 0):
+        # the runs inside the cache are at level 1, the lowest valid level,
+        # so the levels after the cache ascend iff all run levels do
+        if any(a > b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be non-decreasing after the cache segments")
 
 
@@ -304,10 +353,13 @@ def compute_quality(spec: VideoSpec, plan: QualityPlan) -> float:
     normalized weighted bit integral reduces to the weighted frame
     fraction: sum_j w_j * frames_at_level_j / total_frames.
     """
-    levels = plan.as_array
-    if levels.shape[0] != spec.n_segments:
+    if plan.n_segments != spec.n_segments:
         raise ValueError("plan length does not match the video")
-    counts = np.bincount(levels, minlength=spec.n_levels + 1)[1:]
+    counts = np.zeros(spec.n_levels)
+    for start, end, level in plan.spans():
+        if not 1 <= level <= spec.n_levels:
+            raise ValueError("plan contains out-of-range level indices")
+        counts[level - 1] += end - start
     return float(np.dot(spec.weights, counts) / spec.n_segments)
 
 

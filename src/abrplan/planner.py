@@ -132,29 +132,31 @@ def fit_ascending_levels(
     level 1. Infeasible means even the all-level-1 session stalls.
     """
     n = spec.n_segments
-    levels = [1] * n
-    if exist_violation(trace, alpha, spec, QualityPlan(tuple(levels)), config):
-        return LevelFit(False, QualityPlan(tuple(levels)))
+    plan = QualityPlan.uniform(spec, 1)
+    if exist_violation(trace, alpha, spec, plan, config):
+        return LevelFit(False, plan)
     n_cache = spec.cache_segments
+    # starts[j] is the first segment at level j + 1; a level that a later
+    # one covers entirely keeps its entry, with an empty run, so that the
+    # index still names the level
+    starts = [0]
     for s in range(2, spec.n_levels + 1):
-        try:
-            first_prev = levels.index(s - 1)
-        except ValueError:
-            break  # level s-1 placed nowhere; heavier levels cannot fit either
-        lo = max(first_prev, n_cache)
+        lo = max(starts[-1], n_cache)
         best = n  # sentinel: do not place level s
         hi = n - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            trial = tuple(levels[:mid]) + (s,) * (n - mid)
-            if exist_violation(trace, alpha, spec, QualityPlan(trial), config):
+            runs = [(start, j + 1) for j, start in enumerate(starts) if start < mid]
+            trial = QualityPlan.from_runs(runs + [(mid, s)], n)
+            if exist_violation(trace, alpha, spec, trial, config):
                 lo = mid + 1
             else:
                 best = mid
                 hi = mid - 1
-        if best < n:
-            levels[best:] = [s] * (n - best)
-    plan = QualityPlan(tuple(levels))
+        if best == n:
+            break  # level s placed nowhere; heavier levels cannot fit either
+        starts.append(best)
+    plan = QualityPlan.from_runs([(start, j + 1) for j, start in enumerate(starts)], n)
     feasible = not exist_violation(trace, alpha, spec, plan, config)
     return LevelFit(feasible, plan)
 
@@ -263,7 +265,7 @@ def exhaustive_best_plan(
         raise OracleBudgetError(
             f"(L+1)^segments = {(L + 1) ** n_free} exceeds the {max_nodes} node budget"
         )
-    cache = (1,) * spec.cache_segments
+    n_cache = spec.cache_segments
     best: dict = {"plan": None, "rho": -1.0, "sigma": None}
     nodes = 0
 
@@ -285,28 +287,28 @@ def exhaustive_best_plan(
         ):
             best.update(plan=plan, rho=rho, sigma=sigma, outcome=outcome)
 
-    def dfs(prefix: tuple[int, ...], min_level: int) -> None:
+    def dfs(runs: tuple, pos: int, min_level: int) -> None:
+        # runs: the plan's runs below segment pos
         nonlocal nodes
-        pos = len(prefix)
         for lvl in range(min_level, L + 1):
             nodes += 1
             if nodes > max_nodes:
                 raise OracleBudgetError(f"search exceeded the {max_nodes} node budget")
-            filled = QualityPlan(cache + prefix + (lvl,) * (n_free - pos))
+            filled = QualityPlan.from_runs(runs + ((pos, lvl),), n)
             if exist_violation(trace, alpha, spec, filled, config):
                 break  # heavier fills only cost more: prune this level and above
-            if pos == n_free - 1:
+            if pos == n - 1:
                 consider(filled)
             else:
-                dfs(prefix + (lvl,), lvl)
+                dfs(filled.runs, pos + 1, lvl)
 
     if n_free == 0:
-        plan = QualityPlan(cache)
+        plan = QualityPlan.uniform(spec, 1)
         if exist_violation(trace, alpha, spec, plan, config):
             return None
         consider(plan)
     else:
-        dfs((), 1)
+        dfs(((0, 1),), n_cache, 1)
     if best["plan"] is None:
         return None
     outcome = dataclasses.replace(

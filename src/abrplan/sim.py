@@ -69,26 +69,17 @@ class TransmitResult:
 
 def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
     """Split the frame sequence into (end_frame, level, frame_bits, greedy)
-    runs: maximal stretches with constant level and constant phase."""
-    levels = plan.as_array
-    n_cache = spec.cache_segments
-    cuts = set(((levels[1:] != levels[:-1]).nonzero()[0] + 1).tolist())
-    if prefetch_greedy and n_cache < spec.n_segments:
-        cuts.add(n_cache)
-    bounds = sorted(cuts) + [spec.n_segments]
+    runs: the plan's runs, with the one that spans the end of a greedy
+    cache phase split there."""
+    n_greedy = spec.cache_segments if prefetch_greedy else 0
+    fps = spec.frames_per_segment
     runs = []
-    start = 0
-    for end in bounds:
-        lvl = int(levels[start])
-        runs.append(
-            (
-                end * spec.frames_per_segment,
-                lvl,
-                spec.frame_bits(lvl),
-                prefetch_greedy and start < n_cache,
-            )
-        )
-        start = end
+    for start, end, level in plan.spans():
+        frame_bits = spec.frame_bits(level)
+        if start < n_greedy < end:
+            runs.append((n_greedy * fps, level, frame_bits, True))
+            start = n_greedy
+        runs.append((end * fps, level, frame_bits, start < n_greedy))
     return runs
 
 
@@ -334,15 +325,13 @@ def evaluate(
     rho = compute_quality(spec, plan)
     # report u/l on the slot grid regardless of checkpoint granularity
     stride = config.checkpoints_per_slot
-    u_slots = traj.arrived[::stride]
-    l_slots = traj.watched[::stride]
     stall_slots = tuple((cp // stride, sec) for cp, sec in traj.stall_events)
     return SessionOutcome(
-        arrived_frames=tuple(float(v) for v in u_slots),
-        watched_frames=tuple(float(v) for v in l_slots),
+        arrived_frames=tuple(traj.arrived[::stride].tolist()),
+        watched_frames=tuple(traj.watched[::stride].tolist()),
         startup_slot=traj.startup_checkpoint // stride,
         stall_events=stall_slots,
-        bits_used_per_slot=tuple(float(v) for v in run.transmit.bits_used_per_slot),
+        bits_used_per_slot=tuple(run.transmit.bits_used_per_slot.tolist()),
         utilization=sigma,
         quality=rho,
         cost=compute_cost(sigma, rho, a),

@@ -326,6 +326,69 @@ class TestBench:
         assert result.exit_code == 4
 
 
+
+def _command_args(command, video_file, trace_file, tmp_path, out):
+    """A complete, valid argument list for ``command`` writing to ``out``."""
+    if command == "bench":
+        return ["bench", "--video", video_file, "--periods", "1", "--n-traces", "1", "--out", str(out)]
+    if command == "robustness":
+        return ["robustness", "--video", video_file, "--trace-dir", str(tmp_path), "--a", "1", "--out", str(out)]
+    return [command, "--video", video_file, "--trace", trace_file, "--a", "1", "--out", str(out)]
+
+
+def _assert_one_line_error(result, code):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["plan", "sweep-a"])
+    @pytest.mark.parametrize("target", ["missing-dir", "out-is-a-dir"])
+    def test_io_error(self, runner, video_file, trace_file, tmp_path, command, target):
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        if target == "missing-dir":
+            out, left = outputs / "missing" / "result", []
+        else:
+            out, left = outputs / "result", ["result"]
+            out.mkdir()  # the temp file is written beside it, then the replace fails
+        result = runner.invoke(main, _command_args(command, video_file, trace_file, tmp_path, out))
+        _assert_one_line_error(result, 3)
+        assert [p.name for p in outputs.rglob("*")] == left  # no temp file left
+
+    def test_dump_dir_under_a_file(self, runner, video_file, trace_file, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = tmp_path / "sweep.csv"
+        args = _command_args("sweep-a", video_file, trace_file, tmp_path, out)
+        result = runner.invoke(main, args + ["--dump-trajectories", str(blocker / "traj")])
+        _assert_one_line_error(result, 3)
+        assert not out.exists()
+
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "command, jobs",
+        [("plan", "-3"), ("sweep-a", "0"), ("bench", "0"),
+         ("plan", "2"), ("sweep-a", "2"), ("stall-scan", "2"), ("robustness", "2")],
+    )
+    def test_rejected(self, runner, video_file, trace_file, tmp_path, command, jobs):
+        out = tmp_path / "out"
+        args = _command_args(command, video_file, trace_file, tmp_path, out)
+        result = runner.invoke(main, args + ["--jobs", jobs])
+        _assert_one_line_error(result, 4)
+        assert not out.exists()
+
+    def test_one_job_accepted(self, runner, video_file, trace_file, tmp_path):
+        out = tmp_path / "r.json"
+        args = _command_args("plan", video_file, trace_file, tmp_path, out)
+        assert runner.invoke(main, args + ["--jobs", "1"]).exit_code == 0
+        assert out.exists()
+
+
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0

@@ -121,6 +121,23 @@ class TestQualityPlan:
     def test_uniform(self, toy_spec):
         assert QualityPlan.uniform(toy_spec, 1).segment_levels == (1, 1, 1, 1)
 
+    def test_runs_are_canonical(self):
+        plan = QualityPlan((1, 1, 2, 2, 2, 4))
+        assert plan.runs == ((0, 1), (2, 2), (5, 4))
+        assert plan.n_segments == 6
+        # an empty run (2, 3) and a repeated level are folded away
+        rebuilt = QualityPlan.from_runs([(0, 1), (2, 3), (2, 2), (4, 2), (5, 4)], 6)
+        assert rebuilt.runs == plan.runs and rebuilt == plan
+
+    @pytest.mark.parametrize(
+        "runs, n",
+        [([(1, 1)], 4), ([(0, 1), (3, 2), (2, 3)], 4), ([(0, 1), (5, 2)], 4), ([], 4)],
+        ids=["not-from-0", "out-of-order", "past-the-end", "no-runs"],
+    )
+    def test_from_runs_rejects_malformed_runs(self, runs, n):
+        with pytest.raises(ValueError):
+            QualityPlan.from_runs(runs, n)
+
 
 class TestThresholdSchedule:
     def test_direct_example(self):

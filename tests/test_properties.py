@@ -1,10 +1,13 @@
 """Property-based tests for the structural invariants of the model,
 simulator, and planner (the contracts that hold for any valid input)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abrplan import planner
 from abrplan import (
     CapacityTrace,
     QualityLevel,
@@ -19,6 +22,7 @@ from abrplan import (
     run_session,
     transmit_video,
 )
+from abrplan.sim import SimConfig
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -33,8 +37,8 @@ def traces(draw, max_slots=12):
 
 
 @st.composite
-def specs(draw):
-    n_levels = draw(st.integers(1, 3))
+def specs(draw, max_levels=3):
+    n_levels = draw(st.integers(1, max_levels))
     base = draw(st.floats(1.0, 8.0))
     bitrates, b = [], base
     for _ in range(n_levels):
@@ -62,6 +66,55 @@ def specs_with_plans(draw):
         lvl = draw(st.integers(lvl, spec.n_levels))
         levels[i] = lvl
     return spec, QualityPlan(tuple(levels))
+
+
+@st.composite
+def specs_with_level_sequences(draw):
+    """A spec and a per-segment level sequence that may break any plan rule:
+    an ascending plan, then at most two random edits (a level set anywhere
+    in 0..n_levels + 1, a segment added or removed)."""
+    spec, plan = draw(specs_with_plans())
+    levels = list(plan.segment_levels)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["set", "append", "drop"]))
+        if edit == "set" and levels:
+            levels[draw(st.integers(0, len(levels) - 1))] = draw(st.integers(0, spec.n_levels + 1))
+        elif edit == "append":
+            levels.append(draw(st.integers(1, spec.n_levels)))
+        elif levels:
+            levels.pop()
+    return spec, levels
+
+
+def per_segment_rule_broken(levels, spec):
+    """The message of the first plan rule ``levels`` breaks, or None."""
+    if len(levels) != spec.n_segments:
+        return f"plan has {len(levels)} segments, video has {spec.n_segments}"
+    if min(levels) < 1 or max(levels) > spec.n_levels:
+        return "plan contains out-of-range level indices"
+    cache = spec.cache_segments
+    if any(v != 1 for v in levels[:cache]):
+        return "prefetch-cache segments must stay at level 1"
+    if any(a > b for a, b in zip(levels[cache:], levels[cache + 1 :])):
+        return "levels must be non-decreasing after the cache segments"
+    return None
+
+
+def per_segment_runs(levels):
+    """One run per segment, each preceded by an empty run at level 1: the
+    least canonical runs that describe ``levels``."""
+    runs = []
+    for i, v in enumerate(levels):
+        runs += [(i, 1), (i, v)]
+    return runs
+
+
+def validate_message(plan, spec):
+    try:
+        plan.validate(spec)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @FAST
@@ -178,3 +231,79 @@ def test_anticipation_safety(trace, spec_plan):
     hi, lo = caps[-1], caps[0]
     if not exist_violation(trace, hi, spec, plan):
         assert not exist_violation(trace, lo, spec, plan)
+
+
+@FAST
+@given(st.lists(st.integers(-1, 6), max_size=12))
+def test_plan_runs_round_trip(levels):
+    plan = QualityPlan(levels)
+    starts = [start for start, _ in plan.runs]
+    run_levels = [level for _, level in plan.runs]
+    assert starts == sorted(set(starts)) and all(0 <= x < len(levels) for x in starts)
+    assert all(a != b for a, b in zip(run_levels, run_levels[1:]))
+    for runs in (plan.runs, per_segment_runs(levels)):
+        rebuilt = QualityPlan.from_runs(runs, len(levels))
+        assert rebuilt == plan and hash(rebuilt) == hash(plan)
+        assert rebuilt.runs == plan.runs
+        assert rebuilt.segment_levels == tuple(levels)
+        assert rebuilt.as_array.tolist() == levels
+
+
+@FAST
+@given(specs_with_level_sequences())
+def test_validate_matches_per_segment_rules(spec_levels):
+    spec, levels = spec_levels
+    want = per_segment_rule_broken(levels, spec)
+    assert validate_message(QualityPlan(levels), spec) == want
+    assert validate_message(QualityPlan.from_runs(per_segment_runs(levels), len(levels)), spec) == want
+
+
+@FAST
+@given(traces(), specs_with_plans(), st.floats(0.0, 30.0), st.booleans(), st.sampled_from([1, 3]))
+def test_exist_violation_same_for_both_constructions(trace, spec_plan, alpha, greedy, checkpoints):
+    spec, plan = spec_plan
+    config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=checkpoints)
+    from_levels = QualityPlan(plan.segment_levels)
+    from_runs = QualityPlan.from_runs(per_segment_runs(plan.segment_levels), spec.n_segments)
+    assert exist_violation(trace, alpha, spec, from_levels, config) == exist_violation(
+        trace, alpha, spec, from_runs, config
+    )
+
+
+def list_based_fit(trace, alpha, spec, config):
+    """The level fit over a per-segment list, as a plain binary search:
+    returns (feasible, levels, the levels of every probe in order)."""
+    n = spec.n_segments
+    levels = [1] * n
+    probes = []
+
+    def violates(candidate):
+        probes.append(tuple(candidate))
+        return exist_violation(trace, alpha, spec, QualityPlan(candidate), config)
+
+    if violates(levels):
+        return False, levels, probes
+    for s in range(2, spec.n_levels + 1):
+        if s - 1 not in levels:
+            break
+        lo, hi, best = max(levels.index(s - 1), spec.cache_segments), n - 1, n
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if violates(levels[:mid] + [s] * (n - mid)):
+                lo = mid + 1
+            else:
+                best, hi = mid, mid - 1
+        levels[best:] = [s] * (n - best)
+    return not violates(levels), levels, probes
+
+
+@FAST
+@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0), st.booleans())
+def test_fit_matches_list_based_search(trace, spec, alpha, greedy):
+    config = SimConfig(prefetch_greedy=greedy)
+    feasible, levels, probes = list_based_fit(trace, alpha, spec, config)
+    with mock.patch.object(planner, "exist_violation", wraps=exist_violation) as probe:
+        fit = planner.fit_ascending_levels(trace, alpha, spec, config)
+    assert fit.feasible == feasible
+    assert fit.plan.segment_levels == tuple(levels)
+    assert [c.args[3].segment_levels for c in probe.call_args_list] == probes
