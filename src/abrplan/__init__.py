@@ -51,7 +51,6 @@ from .sim import (
     SimConfig,
     evaluate,
     exist_violation,
-    playback_trajectory,
     run_session,
     transmit_video,
 )

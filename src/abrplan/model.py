@@ -25,7 +25,7 @@ class CapacityTrace:
     """A predicted per-slot capacity window.
 
     Attributes:
-        slot_duration: slot length in seconds (> 0).
+        slot_duration: slot length in seconds (finite, > 0).
         capacities: per-slot average capacity in bits/second (finite, >= 0).
         origin_time: absolute time of the window start, seconds.
     """
@@ -35,8 +35,8 @@ class CapacityTrace:
     origin_time: float = 0.0
 
     def __post_init__(self):
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
+        if not 0 < self.slot_duration < math.inf:  # also rejects nan
+            raise ValueError(f"slot_duration must be positive and finite, got {self.slot_duration}")
         caps = tuple(float(c) for c in self.capacities)
         if len(caps) == 0:
             raise ValueError("capacity window must contain at least one slot")

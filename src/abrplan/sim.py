@@ -1,8 +1,9 @@
 """Deterministic playback-session simulator.
 
 Transmits frames in video order under a threshold schedule (with greedy
-prefetch of the cache segments), tracks the cumulative arrival curve u and
-the cumulative playback curve l on the slot grid, and reports stalls.
+prefetch of the cache segments), counts the cumulative arrival curve u and
+the cumulative playback curve l on a checkpoint grid (the slot boundaries
+unless ``checkpoints_per_slot`` is above 1), and reports stalls.
 
 Transmission rules:
   * frame f of a segment at level j costs b_j / frame_rate bits;
@@ -61,10 +62,10 @@ DEFAULT_SIM = SimConfig()
 @dataclass(frozen=True)
 class TransmitResult:
     bits_used_per_slot: np.ndarray
-    frame_arrival_times: Optional[np.ndarray]  # only for delivered frames
     completed: bool
-    # cumulative frames delivered at each slot boundary (length n_slots + 1)
-    frames_at_boundary: np.ndarray = field(repr=False, default=None)
+    # cumulative frames delivered at each checkpoint (length
+    # n_slots * checkpoints_per_slot + 1; slot boundaries are every m-th)
+    frames_at_boundary: np.ndarray = field(repr=False)
 
 
 def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
@@ -83,13 +84,20 @@ def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
     return runs
 
 
+def _checkpoint_curve(phase, m: int) -> np.ndarray:
+    """The phase's cumulative-capacity curve at m > 1 checkpoints per slot:
+    its cached running sum, linearly interpolated within each slot."""
+    cum = phase.cumulative
+    inside = cum[:-1, None] + phase.as_array[:, None] * (np.arange(m) / m)
+    return np.append(inside.ravel(), cum[-1])
+
+
 def transmit_video(
     trace: CapacityTrace,
     schedule: ThresholdSchedule,
     spec: VideoSpec,
     plan: QualityPlan,
     config: SimConfig = DEFAULT_SIM,
-    record_times: bool = True,
 ) -> TransmitResult:
     """Deliver frames in order under the schedule; see the module docstring
     for the transmission rules. ``completed`` is False (not an error) when
@@ -98,63 +106,64 @@ def transmit_video(
     Delivery goes one run (see ``_runs``) at a time. A run starts at a
     position on the cumulative-capacity curve of its phase: the trace for
     greedy cache traffic, the schedule otherwise. The frames it has
-    delivered by a slot boundary are the whole frames that fit between that
-    position and the curve there, and one search finds the slot where it
-    completes. The rest of that slot is wasted, so the next run starts in
-    the slot after, unless it keeps the level, which happens only where the
-    cache phase ends.
+    delivered by a checkpoint are the whole frames that fit between that
+    position and the curve there, and one search finds the checkpoint by
+    which it completes. The rest of that slot is wasted, so the next run
+    starts in the slot after, unless it keeps the level, which happens only
+    where the cache phase ends.
     """
     plan.validate(spec)
     if schedule.as_array.shape != trace.as_array.shape:
         raise ValueError("schedule was built on a different trace")
     dt = trace.slot_duration
+    m = config.checkpoints_per_slot
     n_slots = trace.n_slots
+    n_cp = n_slots * m
     runs = _runs(spec, plan, config.prefetch_greedy)
-    moved = np.zeros(n_slots + 1)  # bits / dt delivered by each slot boundary
-    boundary = np.zeros(n_slots + 1, dtype=np.int64)
-    arrivals = np.empty(spec.total_frames) if record_times else None
+    moved = np.zeros(n_cp + 1)  # bits / dt delivered by each checkpoint
+    counts = np.zeros(n_cp + 1, dtype=np.int64)
 
     # positions and frame costs are in bits / dt, so the cached running sums
     # of the rates serve as the cumulative-capacity curves without scaling
     f, base = 0, 0.0  # frames and bits delivered before the current run
     k, used = 0, 0.0  # slot the current run starts in, fraction of it already used
-    last = 0  # last slot boundary written
+    first = 1  # first checkpoint the current run writes
+    last = 0  # last checkpoint written
     for i, (run_end, level, frame_bits, greedy) in enumerate(runs):
         if k >= n_slots:
             break
         phase = trace if greedy else schedule
         rate, cum = phase.as_array, phase.cumulative
+        curve = cum if m == 1 else _checkpoint_curve(phase, m)
         cost = frame_bits / dt
         start = float(cum[k] + rate[k] * used)
         stop = start + (run_end - f) * cost
-        j = int(cum.searchsorted(stop - _EPS * cost))  # boundary where the run completes
-        last = min(j, n_slots)
-        pos = np.minimum(np.maximum(cum[k + 1 : last + 1], start), stop)
-        moved[k + 1 : last + 1] = pos + (base - start)
-        # whole frames done: (pos - start) / cost + f, with _EPS of slack
-        boundary[k + 1 : last + 1] = np.floor((pos - (start - (f + _EPS) * cost)) / cost)
-        if j <= n_slots:
-            boundary[j], moved[j] = run_end, base + (stop - start)
-        if record_times:
-            m = boundary[last] - f
-            target = start + cost * np.arange(1, m + 1)
-            slot = np.clip(cum.searchsorted(target - _EPS * cost) - 1, k, last - 1)
-            arrivals[f : f + m] = (slot + (target - cum[slot]) / rate[slot]) * dt
-        f, base = int(boundary[last]), float(moved[last])
-        if j > n_slots:
+        j = int(curve.searchsorted(stop - _EPS * cost))  # checkpoint by which the run completes
+        last = min(j, n_cp)
+        pos = np.minimum(np.maximum(curve[first : last + 1], start), stop)
+        moved[first : last + 1] = base + (pos - start)
+        # whole frames done: (pos - start) / cost + f, with _EPS of slack;
+        # the quotient is >= 0, so the integer cast floors it
+        counts[first : last + 1] = (pos - (start - (f + _EPS) * cost)) / cost
+        if j <= n_cp:
+            counts[j], moved[j] = run_end, base + (stop - start)
+        f, base = int(counts[last]), float(moved[last])
+        if j > n_cp:
             break
-        used = (stop - cum[j - 1]) / rate[j - 1]
+        k = (j - 1) // m  # slot the run completes in
+        used = (stop - cum[k]) / rate[k]
         if i + 1 < len(runs) and runs[i + 1][1] == level and used < 1 - _EPS:
-            k = j - 1
+            first = j  # the continuation rewrites the slot from j on
         else:
-            k, used = j, 0.0
-    boundary[last + 1 :] = f
+            # the next run starts in the next slot; its writes before that
+            # clamp to its start, so the rest of this slot reads f and base
+            k, used, first = k + 1, 0.0, j + 1
+    counts[last + 1 :] = f
     moved[last + 1 :] = base
     return TransmitResult(
-        bits_used_per_slot=(moved[1:] - moved[:-1]) * dt,
-        frame_arrival_times=arrivals[:f] if record_times else None,
+        bits_used_per_slot=(moved[m::m] - moved[: -m : m]) * dt,
         completed=f >= spec.total_frames,
-        frames_at_boundary=boundary,
+        frames_at_boundary=counts,
     )
 
 
@@ -163,7 +172,7 @@ class Trajectory:
     arrived: np.ndarray  # u at each checkpoint
     watched: np.ndarray  # l at each checkpoint
     startup_checkpoint: Optional[int]
-    stall_events: tuple[tuple[int, float], ...]  # (slot index, seconds stalled)
+    stall_events: tuple[tuple[int, float], ...]  # (checkpoint, seconds stalled)
     checkpoint_dt: float
 
     @property
@@ -171,42 +180,39 @@ class Trajectory:
         return len(self.stall_events) > 0
 
 
-def playback_trajectory(
-    frame_arrival_times,
-    spec: VideoSpec,
-    trace: CapacityTrace,
-    config: SimConfig = DEFAULT_SIM,
-) -> Trajectory:
-    """Derive the buffer trajectory from frame arrival instants.
+def _playback_ramp(u: np.ndarray, spec: VideoSpec, cdt: float):
+    """Start-up checkpoint and the playback curve l while nothing stalls.
 
     Playback starts at the first checkpoint where the buffered frames reach
-    the start-up threshold, then advances frame_rate * dt frames per
-    checkpoint, freezing (a stall) whenever it would overtake the arrivals.
+    the start-up threshold, then advances frame_rate * cdt frames per
+    checkpoint up to the whole video; the ramp is negative before start-up.
+    It stalls where the ramp exceeds u by more than _EPS. Returns
+    (None, None) when playback never starts.
     """
-    arr = np.asarray(frame_arrival_times, dtype=float)
-    if arr.size > 1 and np.any(np.diff(arr) < -_EPS):
-        raise ValueError("arrival times must be non-decreasing")
-    m = config.checkpoints_per_slot
-    cdt = trace.slot_duration / m
-    n_cp = trace.n_slots * m
-    times = np.arange(n_cp + 1) * cdt
-    u = np.searchsorted(arr, times + _EPS * trace.slot_duration, side="right").astype(float)
-    return _trajectory_from_counts(u, spec, cdt)
+    total = spec.total_frames
+    startup = int(u.searchsorted(min(spec.prefetch_frames, total)))
+    if startup >= u.shape[0]:
+        return None, None
+    ramp = (np.arange(u.shape[0]) - startup) * (spec.frame_rate * cdt)
+    return startup, np.minimum(ramp, float(total))
 
 
 def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Trajectory:
-    total = spec.total_frames
-    q0 = min(spec.prefetch_frames, total)
-    startup = int(np.searchsorted(u, q0, side="left"))
-    n_cp = u.shape[0] - 1
-    watched = np.zeros_like(u)
+    """Playback follows the ramp and freezes (a stall) whenever it would
+    overtake the arrivals u."""
+    startup, ramp = _playback_ramp(u, spec, cdt)
+    if startup is None:
+        return Trajectory(u, np.zeros_like(u), None, (), cdt)
+    watched = np.minimum(np.maximum(ramp, 0.0), u)
     stalls: list[list] = []  # [checkpoint, seconds]
-    if startup > n_cp:
-        return Trajectory(u, watched, None, (), cdt)
+    # l only deviates from the ramp from the first stall on
+    behind = ramp > u + _EPS
+    first = int(behind.argmax()) if behind.any() else u.shape[0]
+    total = spec.total_frames
     step = spec.frame_rate * cdt
-    l_prev = 0.0
+    l_prev = watched[first - 1]
     in_stall = False
-    for i in range(startup + 1, n_cp + 1):
+    for i in range(first, u.shape[0]):
         want = min(l_prev + step, float(total))
         have = min(want, u[i])
         if have < want - _EPS:
@@ -244,12 +250,9 @@ def run_session(
     config: SimConfig = DEFAULT_SIM,
 ) -> SessionRun:
     schedule = make_threshold_schedule(trace, alpha)
-    record = config.checkpoints_per_slot > 1
-    tx = transmit_video(trace, schedule, spec, plan, config, record_times=record)
-    if record:
-        traj = playback_trajectory(tx.frame_arrival_times, spec, trace, config)
-    else:
-        traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, trace.slot_duration)
+    tx = transmit_video(trace, schedule, spec, plan, config)
+    cdt = trace.slot_duration / config.checkpoints_per_slot
+    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, cdt)
     violation = (
         not tx.completed
         or traj.startup_checkpoint is None
@@ -268,25 +271,16 @@ def exist_violation(
 ) -> bool:
     """True iff the session stalls or does not deliver and play out the
     whole video within the window."""
-    if config.checkpoints_per_slot > 1:
-        return run_session(trace, alpha, spec, plan, config).violation
-    # fast path: boundary counts and the untouched playback ramp suffice,
-    # because l only deviates from the ramp after a first stall
     schedule = make_threshold_schedule(trace, alpha)
-    tx = transmit_video(trace, schedule, spec, plan, config, record_times=False)
+    tx = transmit_video(trace, schedule, spec, plan, config)
     if not tx.completed:
         return True
+    cdt = trace.slot_duration / config.checkpoints_per_slot
     u = tx.frames_at_boundary
-    total = spec.total_frames
-    q0 = min(spec.prefetch_frames, total)
-    startup = int(u.searchsorted(q0))
-    n_cp = u.shape[0] - 1
-    if startup > n_cp:
-        return True
-    step = spec.frame_rate * trace.slot_duration
-    ramp = np.minimum((np.arange(n_cp + 1) - startup) * step, float(total))  # < 0 before startup
-    if ramp[-1] < total - _EPS:
-        return True  # window ends before playback finishes
+    startup, ramp = _playback_ramp(u, spec, cdt)
+    if startup is None or ramp[-1] < spec.total_frames - _EPS:
+        return True  # playback never starts, or the window ends before it finishes
+    # l only deviates from the ramp after a first stall
     return bool((ramp > u + _EPS).any())
 
 

@@ -270,4 +270,7 @@ def load_trace(path) -> CapacityTrace:
     caps.sort()
     if [i for i, _ in caps] != list(range(len(caps))):
         raise TraceFormatError(f"{path} slot indices are not 0..n-1")
-    return CapacityTrace(slot_duration=slot_duration, capacities=tuple(c for _, c in caps))
+    try:
+        return CapacityTrace(slot_duration=slot_duration, capacities=tuple(c for _, c in caps))
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from exc

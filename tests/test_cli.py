@@ -133,6 +133,24 @@ class TestPlan:
         )
         assert result.exit_code == 4
 
+    def test_zero_rate_slot_after_level_change(self, runner, zero_rate_instance, tmp_path):
+        trace, spec = zero_rate_instance
+        video = tmp_path / "video.json"
+        video.write_text(json.dumps({
+            "n_segments": spec.n_segments,
+            "frames_per_segment": spec.frames_per_segment,
+            "frame_rate": spec.frame_rate,
+            "prefetch_frames": spec.prefetch_frames,
+            "levels": [{"bitrate_bps": q.bitrate_bps, "weight": q.weight} for q in spec.levels],
+        }))
+        save_trace(trace, tmp_path / "trace.csv")
+        result = runner.invoke(
+            main,
+            ["plan", "--video", str(video), "--trace", str(tmp_path / "trace.csv"),
+             "--a", "1", "--out", str(tmp_path / "r.json")],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_slot_resampling(self, runner, video_file, trace_file, tmp_path):
         out = tmp_path / "r.json"
         result = runner.invoke(
@@ -387,6 +405,25 @@ class TestJobs:
         args = _command_args("plan", video_file, trace_file, tmp_path, out)
         assert runner.invoke(main, args + ["--jobs", "1"]).exit_code == 0
         assert out.exists()
+
+
+class TestOutOfRangeTrace:
+    @pytest.mark.parametrize("command", ["plan", "robustness"])
+    @pytest.mark.parametrize(
+        "slot_duration, last_capacity",
+        [("0.0", "1.5e6"), ("nan", "1.5e6"), ("inf", "1.5e6"), ("1.0", "-1.5e6"), ("1.0", "nan")],
+        ids=["zero-slot-duration", "nan-slot-duration", "inf-slot-duration", "negative-capacity", "nan-capacity"],
+    )
+    def test_io_error(self, runner, video_file, tmp_path, command, slot_duration, last_capacity):
+        trace_dir = tmp_path / "realizations"
+        trace_dir.mkdir()
+        bad = trace_dir / "bad.csv"
+        rows = "".join(f"{i},1.5e6\n" for i in range(15)) + f"15,{last_capacity}\n"
+        bad.write_text(f"# slot_duration={slot_duration}\nslot_index,capacity_bps\n" + rows)
+        out = tmp_path / "out"
+        result = runner.invoke(main, _command_args(command, video_file, str(bad), trace_dir, out))
+        _assert_one_line_error(result, 3)
+        assert not out.exists()
 
 
 def test_version(runner):

@@ -170,6 +170,21 @@ def test_bit_conservation(trace, spec_plan, alpha):
 
 
 @FAST
+@given(traces(), specs_with_plans(), st.floats(0.0, 30.0), st.booleans())
+def test_granularity_changes_only_the_stall_check(trace, spec_plan, alpha, greedy):
+    spec, plan = spec_plan
+    sched = make_threshold_schedule(trace, alpha)
+    coarse = transmit_video(trace, sched, spec, plan, SimConfig(prefetch_greedy=greedy))
+    for m in (2, 3):
+        config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=m)
+        fine = transmit_video(trace, sched, spec, plan, config)
+        assert fine.frames_at_boundary.shape == (trace.n_slots * m + 1,)
+        assert np.array_equal(fine.bits_used_per_slot, coarse.bits_used_per_slot)
+        assert np.array_equal(fine.frames_at_boundary[::m], coarse.frames_at_boundary)
+        assert fine.completed == coarse.completed
+
+
+@FAST
 @given(traces(), specs_with_plans(), st.floats(0.0, 30.0))
 def test_u_dominates_l_and_monotone(trace, spec_plan, alpha):
     spec, plan = spec_plan

@@ -17,11 +17,10 @@ from abrplan import (
     exist_violation,
     generate_synthetic,
     make_threshold_schedule,
-    playback_trajectory,
     run_session,
     transmit_video,
 )
-from abrplan.sim import session_length
+from abrplan.sim import _trajectory_from_counts, session_length
 
 from reference import (
     random_small_instance,
@@ -95,21 +94,29 @@ class TestTransmissionRules:
         spec = self._spec()
         trace = CapacityTrace(1.0, (8.0, 100.0, 100.0))
         plan = QualityPlan((1, 1, 2))
-        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan)
+        cfg = SimConfig(checkpoints_per_slot=25)  # a checkpoint every 0.04 s
+        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan, cfg)
         # slot 1 carries frame 2 (level 1, 8 bits) then stops at the level
-        # change; frame 3 (16 bits) waits for slot 2
+        # change; frame 3 (16 bits) waits for slot 2 and lands at 2.16 s
         assert np.allclose(tx.bits_used_per_slot, [8.0, 8.0, 16.0])
-        assert tx.frame_arrival_times[2] == pytest.approx(2.16)
+        counts = tx.frames_at_boundary
+        assert counts[26] == 1 and counts[27] == 2  # frame 2 at 1.08 s
+        assert np.all(counts[27:54] == 2)
+        assert np.all(counts[54:] == 3)
 
     def test_partial_frame_carries_across_slots(self):
         spec = self._spec(n_segments=2)
         trace = CapacityTrace(1.0, (8.0, 6.0, 100.0))
         plan = QualityPlan((1, 2))
-        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan)
+        cfg = SimConfig(checkpoints_per_slot=10)  # a checkpoint every 0.1 s
+        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan, cfg)
         assert tx.completed
-        # frame 2 receives 6 of its 16 bits in slot 1, the rest in slot 2
+        # frame 2 receives 6 of its 16 bits in slot 1, the rest in slot 2,
+        # so it lands at 2.1 s
         assert np.allclose(tx.bits_used_per_slot, [8.0, 6.0, 10.0])
-        assert tx.frame_arrival_times[1] == pytest.approx(2.1)
+        counts = tx.frames_at_boundary
+        assert np.all(counts[10:21] == 1)
+        assert np.all(counts[21:] == 2)
 
     def test_no_bits_on_inactive_slots(self):
         spec = self._spec(n_segments=4, prefetch=1)
@@ -139,8 +146,8 @@ class TestTransmissionRules:
 
 class TestPlaybackTrajectory:
     def test_everything_arrives_instantly(self, toy_spec, toy_trace):
-        times = np.zeros(toy_spec.total_frames)
-        traj = playback_trajectory(times, toy_spec, toy_trace)
+        u = np.full(toy_trace.n_slots + 1, float(toy_spec.total_frames))
+        traj = _trajectory_from_counts(u, toy_spec, toy_trace.slot_duration)
         assert traj.startup_checkpoint == 0
         assert traj.stall_events == ()
         # l ramps by 2 frames per slot to 8
@@ -149,9 +156,8 @@ class TestPlaybackTrajectory:
     def test_arrivals_stopping_midway_stall_once(self):
         # 10-frame toy session: 5 frames arrive early, then nothing
         spec = VideoSpec(5, 2, 2.0, (QualityLevel(8.0, 1.0),), prefetch_frames=2)
-        trace = CapacityTrace(1.0, (1.0,) * 6)
-        times = np.full(5, 0.1)
-        traj = playback_trajectory(times, spec, trace)
+        u = np.array([0.0, 5, 5, 5, 5, 5, 5])  # on a 6-slot grid, dt = 1 s
+        traj = _trajectory_from_counts(u, spec, 1.0)
         assert traj.startup_checkpoint == 1
         # l ramps 2 frames/s from slot 1 and catches u=5 midway through slot 3
         assert len(traj.stall_events) == 1
@@ -161,10 +167,7 @@ class TestPlaybackTrajectory:
     def test_boundary_equality_is_feasible(self):
         # u(k) == l(k) exactly at every checkpoint: constraint is >=, not >
         spec = VideoSpec(4, 2, 2.0, (QualityLevel(8.0, 1.0),), prefetch_frames=2)
-        trace = CapacityTrace(1.0, (1.0,) * 5)
         u = np.array([0.0, 2, 4, 6, 8, 8])
-        from abrplan.sim import _trajectory_from_counts
-
         traj = _trajectory_from_counts(u, spec, 1.0)
         assert traj.stall_events == ()
 
@@ -191,10 +194,6 @@ class TestPlaybackTrajectory:
             on_ramp = bool(np.all(np.abs(traj.watched - ramp) < 1e-9))
             assert (len(traj.stall_events) == 0) == on_ramp
 
-    def test_rejects_decreasing_arrivals(self, toy_spec, toy_trace):
-        with pytest.raises(ValueError):
-            playback_trajectory([2.0, 1.0], toy_spec, toy_trace)
-
 
 class TestEvaluate:
     def test_strict_mode_raises(self, toy_spec, toy_trace):
@@ -204,6 +203,11 @@ class TestEvaluate:
         starved = CapacityTrace(1.0, (1.0, 1.0, 1.0))
         with pytest.raises(InfeasiblePlanError):
             evaluate(starved, 0.0, toy_spec, QualityPlan.uniform(toy_spec, 1), a=1.0)
+
+    def test_feasible_session_has_no_negative_bits(self, zero_rate_instance):
+        trace, spec = zero_rate_instance
+        out = evaluate(trace, 3.1377652831369094, spec, QualityPlan((1, 1, 1, 1, 2)), a=1.0)
+        assert min(out.bits_used_per_slot) >= 0.0
 
     def test_non_strict_returns_stalls(self, toy_spec):
         trace = CapacityTrace(1.0, (16.0, 0.0, 0.0, 0.0, 16.0, 16.0, 16.0, 16.0))
@@ -281,17 +285,18 @@ class TestAgainstReference:
             alpha = float(rng.choice(list(trace.capacities) + [0.0]))
             sched = make_threshold_schedule(trace, alpha)
             for greedy in (True, False):
-                tx = transmit_video(trace, sched, spec, plan, SimConfig(prefetch_greedy=greedy))
                 ref_bits, ref_times, ref_done = reference_transmit(trace, alpha, spec, plan, greedy)
-                ref_counts = np.searchsorted(
-                    ref_times,
-                    (np.arange(trace.n_slots + 1) + 1e-9) * trace.slot_duration,
-                    side="right",
-                )
-                assert tx.completed == ref_done
-                assert np.array_equal(tx.frames_at_boundary, ref_counts)
-                assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
-                assert np.allclose(tx.frame_arrival_times, ref_times, rtol=1e-6, atol=1e-6)
+                for m in (1, 2, 3):
+                    config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=m)
+                    tx = transmit_video(trace, sched, spec, plan, config)
+                    ref_counts = np.searchsorted(
+                        ref_times,
+                        (np.arange(trace.n_slots * m + 1) / m + 1e-9) * trace.slot_duration,
+                        side="right",
+                    )
+                    assert tx.completed == ref_done
+                    assert np.array_equal(tx.frames_at_boundary, ref_counts)
+                    assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
 
     def test_violation_agrees(self):
         rng = np.random.default_rng(43)
