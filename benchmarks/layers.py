@@ -20,12 +20,21 @@ optimal-threshold mode, with a = 4.5 for candidate selection. Timed items:
 Each item runs ``--repeats`` times; one repeat calls it ``number`` times
 and records the mean per call. The report gives the median and quartiles
 over the repeats, the probe counts of the fit and of the enumeration, and
-the Python and numpy versions. The run is appended to the JSON list in
-``--out``. ``--src`` selects the ``src`` directory that ``abrplan`` is
-imported from (default: this checkout's), so one copy of this script can
-time two versions of the program.
+the Python and numpy versions.
 
-Uses the standard library and numpy only; single process.
+End to end, the script also times whole ``abrplan`` processes
+(``python -m abrplan.cli`` with ``PYTHONPATH`` set to ``--src``), each run
+``CLI_RUNS`` times: ``plan`` and ``sweep-a`` (three values of a) on stock
+seed 0, ``stall-scan --stride 20`` on it, and ``bench --periods 1,2
+--n-traces 2``. It reports the median, minimum and maximum wall time.
+
+The run is appended to the JSON list in ``--out``. ``--src`` selects the
+``src`` directory that ``abrplan`` is imported from (default: this
+checkout's), so one copy of this script can time two versions of the
+program.
+
+Uses the standard library and numpy only; the timings in this process are
+single-threaded, and the CLI runs start one process at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +57,14 @@ STOCK_SEED = 0
 STOCK_A = 4.5
 # calls per repeat, chosen so that one repeat of each item takes 10-100 ms
 NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1}
+# whole-process CLI runs (arguments before --out), each run CLI_RUNS times
+CLI_COMMANDS = {
+    "plan": ["plan", "--synthetic-seed", "0", "--a", "4.5"],
+    "sweep-a": ["sweep-a", "--synthetic-seed", "0", "--a", "0.5", "--a", "4.5", "--a", "10"],
+    "stall-scan": ["stall-scan", "--synthetic-seed", "0", "--a", "4.5", "--stride", "20"],
+    "bench": ["bench", "--periods", "1,2", "--n-traces", "2"],
+}
+CLI_RUNS = 3
 
 
 def import_abrplan(src: Path):
@@ -155,6 +172,21 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     return counts, timings
 
 
+def time_cli(src: Path, workdir: Path) -> dict:
+    """Wall seconds of each ``CLI_COMMANDS`` process, ``CLI_RUNS`` runs each."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    timings = {}
+    for name, args in CLI_COMMANDS.items():
+        argv = [sys.executable, "-m", "abrplan.cli", *args, "--out", str(workdir / f"{name}.out")]
+        walls = []
+        for _ in range(CLI_RUNS):
+            t0 = perf_counter()
+            subprocess.run(argv, env=env, cwd=workdir, check=True, capture_output=True)
+            walls.append(perf_counter() - t0)
+        timings[name] = {"median_s": statistics.median(walls), "min_s": min(walls), "max_s": max(walls), "runs": CLI_RUNS}
+    return timings
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON file the run is appended to")
@@ -168,6 +200,7 @@ def main(argv=None) -> int:
     ap = import_abrplan(args.src)
     with tempfile.TemporaryDirectory() as tmp:
         counts, timings = measure(ap, args.repeats, Path(tmp))
+        cli = time_cli(args.src, Path(tmp))
     commit, dirty = git_state(args.src)
     record = {
         "label": args.label,
@@ -180,6 +213,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "counts": counts,
         "timings": timings,
+        "cli": cli,
     }
     runs = json.loads(args.out.read_text()) if args.out.exists() else []
     runs.append(record)
@@ -189,6 +223,8 @@ def main(argv=None) -> int:
         print(f"  {name:<22} {key}")
     for name, t in timings.items():
         print(f"  {name:<22} {1e6 * t['median_s']:>12.1f} us  [{1e6 * t['q1_s']:.1f}, {1e6 * t['q3_s']:.1f}]")
+    for name, t in cli.items():
+        print(f"  abrplan {name:<14} {t['median_s']:>12.3f} s   [{t['min_s']:.3f}, {t['max_s']:.3f}]")
     return 0
 
 

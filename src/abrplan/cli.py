@@ -10,7 +10,9 @@ Exit codes: 0 ok, 2 infeasible session, 3 I/O failure, 4 bad config.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +23,7 @@ import jsonschema
 
 from . import __version__
 from .defaults import default_trace_config, default_video_spec
-from .errors import AbrPlanError, NoFeasibleSessionError, TraceFormatError, TraceIngestError
+from .errors import AbrPlanError, NoFeasibleSessionError
 from .model import CapacityTrace, QualityLevel, VideoSpec, compute_cost
 from .planner import (
     InvestConfig,
@@ -34,11 +36,6 @@ from .planner import (
 )
 from .sim import evaluate
 from .traces import coarsen, generate_synthetic, load_trace, mean_trace, write_text_atomic
-
-EXIT_OK = 0
-EXIT_INFEASIBLE = 2
-EXIT_IO = 3
-EXIT_CONFIG = 4
 
 SCHEMA_VERSION = 1
 
@@ -96,6 +93,33 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+class _Floats(click.ParamType):
+    """Finite floats >= 0, or > 0 when ``strict``; with ``many`` a
+    comma-separated list of them, as a tuple. (``click.FloatRange`` lets
+    nan through, because every comparison with nan is False.)"""
+
+    def __init__(self, strict: bool = False, many: bool = False):
+        self.strict, self.many = strict, many
+        self.name = "floats" if many else "float"
+
+    def convert(self, value, param, ctx):
+        items = [v for v in value.split(",") if v.strip()] if self.many else [value]
+        try:
+            xs = tuple(float(v) for v in items)
+        except (TypeError, ValueError):
+            self.fail(f"{value!r} is not a number{' list' if self.many else ''}", param, ctx)
+        for x in xs:
+            if not (0 < x < math.inf if self.strict else 0 <= x < math.inf):
+                self.fail(f"{x!r} is not a finite number {'> 0' if self.strict else '>= 0'}", param, ctx)
+        return xs if self.many else xs[0]
+
+
+_NON_NEGATIVE = _Floats()
+_POSITIVE = _Floats(strict=True)
+_POSITIVE_LIST = _Floats(strict=True, many=True)
+_COUNT = click.IntRange(min=1)
+
+
 def load_video_spec(path) -> VideoSpec:
     """Video description JSON: segment/frame counts, frame rate, prefetch
     threshold, and the (bitrate_bps, weight) level ladder."""
@@ -114,34 +138,26 @@ def _resolve_video(video_path) -> VideoSpec:
         return default_video_spec()
     try:
         return load_video_spec(video_path)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read video spec: {exc}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        _fail(EXIT_CONFIG, f"bad video spec {video_path}: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad video spec {video_path}: {exc}") from exc
 
 
 def _resolve_trace(trace_path, synthetic_seed, slot_period) -> CapacityTrace:
     if (trace_path is None) == (synthetic_seed is None):
-        _fail(EXIT_CONFIG, "exactly one of --trace and --synthetic-seed is required")
-    if trace_path is not None:
-        try:
-            trace = load_trace(trace_path)
-        except (TraceFormatError, TraceIngestError, OSError) as exc:
-            _fail(EXIT_IO, str(exc))
-    else:
-        trace = generate_synthetic(default_trace_config(synthetic_seed))
+        raise click.UsageError("exactly one of --trace and --synthetic-seed is required")
+    trace = load_trace(trace_path) if trace_path is not None else generate_synthetic(default_trace_config(synthetic_seed))
     if slot_period is not None:
         trace = coarsen(trace, _slot_factor(slot_period, trace.slot_duration))
     return trace
 
 
 def _slot_factor(slot_period, slot_duration) -> int:
-    """How many trace slots make one --slot period; exits 4 unless whole."""
+    """How many trace slots make one sampling period; a usage error unless
+    that is a whole number >= 1."""
     factor = slot_period / slot_duration
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
-        _fail(
-            EXIT_CONFIG,
-            f"--slot {slot_period} is not a multiple of the trace slot duration {slot_duration}",
+        raise click.UsageError(
+            f"sampling period {slot_period} is not a multiple of the trace slot duration {slot_duration}"
         )
     return int(round(factor))
 
@@ -150,11 +166,8 @@ def _invest_config(mode, quantum_q):
     if mode != "invest":
         return None
     if quantum_q is None:
-        _fail(EXIT_CONFIG, "--mode invest requires --quantum-q")
-    try:
-        return InvestConfig(quantum_bits=quantum_q)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        raise click.UsageError("--mode invest requires --quantum-q")
+    return InvestConfig(quantum_bits=quantum_q)
 
 
 def _write_csv(path, name: str, rows: list[dict]) -> None:
@@ -177,37 +190,41 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _check_jobs(ctx, param, jobs):
-    """--jobs callback: exits 4 unless it is >= 1, and unless it is 1 on a
-    command that runs serially (all but bench)."""
-    if jobs < 1:
-        _fail(EXIT_CONFIG, "--jobs must be >= 1")
-    if jobs > 1 and ctx.command.name != "bench":
-        _fail(EXIT_CONFIG, f"{ctx.command.name} runs serially: --jobs must be 1")
-    return jobs
+def _stack(*options):
+    """One decorator applying ``options`` in order (first = first in --help)."""
+    return lambda f: functools.reduce(lambda g, option: option(g), reversed(options), f)
 
 
-def _common_options(f):
-    f = click.option("--video", type=click.Path(), default=None, help="video spec JSON (defaults to the stock 3-minute video)")(f)
-    f = click.option("--trace", "trace_path", type=click.Path(), default=None, help="capacity trace CSV export")(f)
-    f = click.option("--synthetic-seed", type=int, default=None, help="generate the stock synthetic window with this seed")(f)
-    f = click.option("--mode", type=click.Choice(["optimal", "invest"]), default="optimal", show_default=True)(f)
-    f = click.option("--quantum-q", type=float, default=None, help="bits abandoned per threshold step (invest mode)")(f)
-    f = click.option("--slot", "slot_period", type=float, default=None, help="resample the trace to this sampling period in seconds")(f)
-    f = click.option("--out", type=click.Path(), required=True, help="output file")(f)
-    f = click.option("--jobs", type=int, default=1, show_default=True, callback=_check_jobs, help="parallel workers for sweep cells (bench only)")(f)
-    return f
+_video_option = click.option("--video", type=click.Path(), default=None, help="video spec JSON (defaults to the stock 3-minute video)")
+_out_option = click.option("--out", type=click.Path(), required=True, help="output file")
+_planning_options = _stack(
+    click.option("--mode", type=click.Choice(["optimal", "invest"]), default="optimal", show_default=True),
+    click.option("--quantum-q", type=_POSITIVE, default=None, help="bits abandoned per threshold step (invest mode)"),
+    click.option("--slot", "slot_period", type=_POSITIVE, default=None, help="resample the trace to this sampling period in seconds"),
+)
+_instance_options = _stack(
+    _video_option,
+    click.option("--trace", "trace_path", type=click.Path(), default=None, help="capacity trace CSV export"),
+    click.option("--synthetic-seed", type=click.IntRange(min=0), default=None, help="generate the stock synthetic window with this seed"),
+    _planning_options,
+    _out_option,
+)
 
 
 class _Group(click.Group):
-    """Ends a command that leaves an OSError uncaught (an output file or
-    directory that cannot be written) with exit 3 and a one-line message."""
+    """The one place a failure becomes an exit code and an ``error:`` line:
+    usage errors (subcommand options are parsed inside ``invoke``) exit 4,
+    abrplan errors exit with their ``exit_code``, OSErrors exit 3."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(4, exc.format_message())
+        except AbrPlanError as exc:
+            _fail(exc.exit_code, str(exc))
         except OSError as exc:
-            _fail(EXIT_IO, f"I/O failure: {exc}")
+            _fail(3, f"I/O failure: {exc}")
 
 
 @click.group(cls=_Group, context_settings={"auto_envvar_prefix": "ABRPLAN"})
@@ -217,33 +234,25 @@ def main():
 
 
 @main.command("plan")
-@_common_options
-@click.option("--a", "a_value", type=float, required=True, help="utilization/quality trade-off weight")
-def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, jobs, a_value):
+@_instance_options
+@click.option("--a", "a_value", type=_NON_NEGATIVE, required=True, help="utilization/quality trade-off weight")
+def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, a_value):
     """Plan one session and write a JSON report (includes the greedy
     minimum-threshold benchmark for comparison)."""
-    if a_value < 0:
-        _fail(EXIT_CONFIG, "--a must be >= 0")
     spec = _resolve_video(video)
     trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    invest = _invest_config(mode, quantum_q)
-    try:
-        candidates, examined = enumerate_candidates(trace, spec, mode, invest)
-        best = select_candidate(candidates, a_value)
-    except NoFeasibleSessionError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    bench = candidates[0]  # lowest threshold = greedy benchmark
-    outcome = best.outcome
+    result = plan_session(trace, spec, a_value, mode, _invest_config(mode, quantum_q))
+    outcome, bench = result.outcome, result.benchmark
     report = {
         "schema": f"abrplan.plan/{SCHEMA_VERSION}",
         "a": a_value,
         "mode": mode,
-        "alpha_th": best.alpha,
+        "alpha_th": result.alpha_th,
         "utilization": outcome.utilization,
         "quality": outcome.quality,
-        "cost": compute_cost(outcome.utilization, outcome.quality, a_value),
-        "plan": list(best.plan.segment_levels),
-        "candidates_evaluated": examined,
+        "cost": outcome.cost,
+        "plan": list(result.plan.segment_levels),
+        "candidates_evaluated": result.candidates_evaluated,
         "benchmark": {
             "alpha": bench.alpha,
             "utilization": bench.sigma,
@@ -258,26 +267,20 @@ def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, ou
     }
     jsonschema.validate(report, PLAN_REPORT_SCHEMA)
     write_text_atomic(out, json.dumps(report, indent=2) + "\n")
-    click.echo(f"alpha_th={best.alpha} cost={report['cost']:.6g} -> {out}")
+    click.echo(f"alpha_th={result.alpha_th} cost={outcome.cost:.6g} -> {out}")
 
 
 @main.command("sweep-a")
-@_common_options
-@click.option("--a", "a_values", type=float, multiple=True, help="trade-off weights (repeatable)")
+@_instance_options
+@click.option("--a", "a_values", type=_NON_NEGATIVE, multiple=True, help="trade-off weights (repeatable)")
 @click.option("--dump-trajectories", type=click.Path(), default=None, help="directory for per-a trajectory JSON dumps")
-def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, jobs, a_values, dump_trajectories):
+def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, a_values, dump_trajectories):
     """Plan the same instance across trade-off weights; one CSV row per a."""
     if not a_values:
-        _fail(EXIT_CONFIG, "at least one --a value is required")
-    if any(a < 0 for a in a_values):
-        _fail(EXIT_CONFIG, "--a values must be >= 0")
+        raise click.UsageError("at least one --a value is required")
     spec = _resolve_video(video)
     trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    invest = _invest_config(mode, quantum_q)
-    try:
-        candidates, _ = enumerate_candidates(trace, spec, mode, invest)
-    except NoFeasibleSessionError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
+    candidates, _ = enumerate_candidates(trace, spec, mode, _invest_config(mode, quantum_q))
     rows = []
     for a in a_values:
         best = select_candidate(candidates, a)
@@ -306,24 +309,16 @@ def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period,
 
 
 @main.command("stall-scan")
-@_common_options
-@click.option("--a", "a_value", type=float, required=True)
-@click.option("--stride", type=int, default=1, show_default=True, help="scan every n-th segment position")
-def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, jobs, a_value, stride):
+@_instance_options
+@click.option("--a", "a_value", type=_NON_NEGATIVE, required=True)
+@click.option("--stride", type=_COUNT, default=1, show_default=True, help="scan every n-th segment position")
+def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, a_value, stride):
     """Force one stall at each admissible video position and record the
     objective before and after."""
-    if a_value < 0:
-        _fail(EXIT_CONFIG, "--a must be >= 0")
-    if stride < 1:
-        _fail(EXIT_CONFIG, "--stride must be >= 1")
     spec = _resolve_video(video)
     trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
     invest = _invest_config(mode, quantum_q)
-    try:
-        base = plan_session(trace, spec, a_value, mode, invest)
-    except NoFeasibleSessionError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    cost_before = base.outcome.cost
+    cost_before = plan_session(trace, spec, a_value, mode, invest).outcome.cost
     rows = []
     for seg in range(2, spec.n_segments + 1, stride):
         row = {
@@ -337,7 +332,7 @@ def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
             split = plan_with_stalls(
                 trace, spec, a_value, StallPolicy(1, (seg,)), mode, invest
             )
-        except (NoFeasibleSessionError, AbrPlanError):
+        except AbrPlanError:
             rows.append(row)
             continue
         row.update(
@@ -351,37 +346,27 @@ def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
 
 
 @main.command("robustness")
-@_common_options
-@click.option("--a", "a_value", type=float, required=True)
+@_stack(_video_option, _planning_options, _out_option)
+@click.option("--a", "a_value", type=_NON_NEGATIVE, required=True)
 @click.option("--trace-dir", type=click.Path(), required=True, help="directory of realization trace CSVs")
-def cmd_robustness(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, jobs, a_value, trace_dir):
+def cmd_robustness(video, mode, quantum_q, slot_period, out, a_value, trace_dir):
     """Plan on the mean of all realizations, evaluate that plan on each
     realization, and report the relative performance errors."""
-    if trace_path is not None or synthetic_seed is not None:
-        _fail(EXIT_CONFIG, "robustness takes its traces from --trace-dir only")
-    if a_value < 0:
-        _fail(EXIT_CONFIG, "--a must be >= 0")
     spec = _resolve_video(video)
     invest = _invest_config(mode, quantum_q)
     files = sorted(Path(trace_dir).glob("*.csv"))
     if not files:
-        _fail(EXIT_IO, f"no realization CSVs found in {trace_dir}")
-    try:
-        realizations = [load_trace(f) for f in files]
-    except (TraceFormatError, OSError) as exc:
-        _fail(EXIT_IO, str(exc))
+        raise FileNotFoundError(f"no realization CSVs found in {trace_dir}")
+    realizations = [load_trace(f) for f in files]
     try:
         base_trace = mean_trace(realizations)
     except ValueError as exc:
-        _fail(EXIT_CONFIG, f"realizations in {trace_dir}: {exc}")
+        raise click.UsageError(f"realizations in {trace_dir}: {exc}") from exc
     if slot_period is not None:
         factor = _slot_factor(slot_period, base_trace.slot_duration)
         base_trace = coarsen(base_trace, factor)
         realizations = [coarsen(t, factor) for t in realizations]
-    try:
-        result = plan_session(base_trace, spec, a_value, mode, invest)
-    except NoFeasibleSessionError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
+    result = plan_session(base_trace, spec, a_value, mode, invest)
     rows = []
     for f, real in zip(files, realizations):
         row = {
@@ -408,18 +393,16 @@ def cmd_robustness(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
 
 
 def _bench_cell(args):
-    """One (variant, seed) benchmark cell; module-level for process pools."""
-    spec, kind, value, seed, a_value = args
-    trace = generate_synthetic(default_trace_config(seed))
-    if kind == "period":
-        trace = coarsen(trace, int(round(value / trace.slot_duration)))
-        mode, invest = "optimal", None
-    else:
-        mode, invest = "invest", InvestConfig(quantum_bits=value)
+    """One (variant, seed) benchmark cell; module-level for process pools.
+    ``factor`` coarsens the seeded window; a ``quantum`` plans in invest
+    mode. A window the planner cannot stream gives ``None`` scores."""
+    spec, factor, quantum, seed, a_value = args
+    trace = coarsen(generate_synthetic(default_trace_config(seed)), factor)
+    invest = None if quantum is None else InvestConfig(quantum_bits=quantum)
     t0 = time.perf_counter()
     try:
-        result = plan_session(trace, spec, a_value, mode, invest)
-    except NoFeasibleSessionError:
+        result = plan_session(trace, spec, a_value, "optimal" if invest is None else "invest", invest)
+    except AbrPlanError:
         return (time.perf_counter() - t0, None, None, None)
     runtime = time.perf_counter() - t0
     out = result.outcome
@@ -427,34 +410,27 @@ def _bench_cell(args):
 
 
 @main.command("bench")
-@_common_options
-@click.option("--a", "a_value", type=float, default=4.5, show_default=True)
-@click.option("--periods", default="", help="comma-separated sampling periods in seconds (first is the baseline)")
-@click.option("--quantums", default="", help="comma-separated invest quantums in bits")
-@click.option("--n-traces", type=int, default=100, show_default=True, help="seeded traces to average over")
-def cmd_bench(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, jobs, a_value, periods, quantums, n_traces):
+@_stack(_video_option, _out_option)
+@click.option("--jobs", type=_COUNT, default=1, show_default=True, help="parallel worker processes for the cells")
+@click.option("--a", "a_value", type=_NON_NEGATIVE, default=4.5, show_default=True)
+@click.option("--periods", type=_POSITIVE_LIST, default="", help="comma-separated sampling periods in whole seconds (1 s is the baseline)")
+@click.option("--quantums", type=_POSITIVE_LIST, default="", help="comma-separated invest quantums in bits")
+@click.option("--n-traces", type=_COUNT, default=100, show_default=True, help="seeded traces to average over")
+def cmd_bench(video, out, jobs, a_value, periods, quantums, n_traces):
     """Average runtime and result accuracy across seeded traces for
     different sampling periods and threshold quantums, relative to the
     finest-grained optimal-threshold baseline."""
-    if trace_path is not None or synthetic_seed is not None:
-        _fail(EXIT_CONFIG, "bench generates its own seeded traces")
-    if n_traces < 1:
-        _fail(EXIT_CONFIG, "--n-traces must be >= 1")
+    if not periods and not quantums:
+        raise click.UsageError("nothing to sweep: give --periods and/or --quantums")
     spec = _resolve_video(video)
-    try:
-        period_list = [float(p) for p in periods.split(",") if p.strip()]
-        quantum_list = [float(q) for q in quantums.split(",") if q.strip()]
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, f"bad sweep list: {exc}")
-    if not period_list and not quantum_list:
-        _fail(EXIT_CONFIG, "nothing to sweep: give --periods and/or --quantums")
     base_dt = default_trace_config(0).slot_duration
-    variants = [("period", base_dt)]
-    variants += [("period", p) for p in period_list if p != base_dt]
-    variants += [("quantum", q) for q in quantum_list]
+    # (kind, value) -> (coarsening factor, invest quantum); the baseline first
+    variants = {("period", base_dt): (1, None)}
+    variants.update({("period", p): (_slot_factor(p, base_dt), None) for p in periods})
+    variants.update({("quantum", q): (1, q) for q in quantums})
     cells = [
-        (spec, kind, value, seed, a_value)
-        for kind, value in variants
+        (spec, factor, quantum, seed, a_value)
+        for factor, quantum in variants.values()
         for seed in range(n_traces)
     ]
     if jobs > 1:
@@ -467,13 +443,13 @@ def cmd_bench(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, o
         chunk = outputs[chunk_start : chunk_start + n_traces]
         ok = [c for c in chunk if c[1] is not None]
         if not ok:
-            _fail(EXIT_INFEASIBLE, f"every seeded trace was infeasible for {kind}={value}")
+            raise NoFeasibleSessionError(f"every seeded trace was infeasible for {kind}={value}")
         per_variant[(kind, value)] = tuple(
             sum(c[i] for c in ok) / len(ok) for i in range(4)
         )
     baseline = per_variant[("period", base_dt)]
     rows = []
-    requested = [("period", p) for p in period_list] + [("quantum", q) for q in quantum_list]
+    requested = [("period", p) for p in periods] + [("quantum", q) for q in quantums]
     for kind, value in requested:
         runtime, sigma, rho, cost = per_variant[(kind, value)]
         rows.append(

@@ -3,6 +3,7 @@
 
 class AbrPlanError(Exception):
     """Base class for all abrplan errors."""
+    exit_code = 4  # CLI exit status; subclasses override it (2 infeasible, 3 trace I/O)
 
 
 class InvalidScheduleError(AbrPlanError):
@@ -13,11 +14,13 @@ class InvalidScheduleError(AbrPlanError):
 class InfeasiblePlanError(AbrPlanError):
     """Strict evaluation of a (threshold, plan) pair hit a stall or an
     incomplete delivery."""
+    exit_code = 2
 
 
 class NoFeasibleSessionError(AbrPlanError):
     """Even the lowest-quality greedy session cannot be streamed without a
     stall on the given capacity window."""
+    exit_code = 2
 
 
 class InfeasiblePartError(NoFeasibleSessionError):
@@ -41,6 +44,7 @@ class TraceIngestError(AbrPlanError):
 
     ``line`` is the 1-based line number of the offending row, when known.
     """
+    exit_code = 3
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -64,3 +68,4 @@ class StationaryLogError(AbrPlanError):
 
 class TraceFormatError(AbrPlanError):
     """A trace CSV file does not match the expected export format."""
+    exit_code = 3

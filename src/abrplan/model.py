@@ -99,16 +99,19 @@ class VideoSpec:
     prefetch_frames: int
 
     def __post_init__(self):
+        for count in (self.n_segments, self.frames_per_segment, self.prefetch_frames):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"segment and frame counts must be integers, got {count!r}")
         if self.n_segments < 1 or self.frames_per_segment < 1:
             raise ValueError("segment and frame counts must be >= 1")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:  # also rejects nan
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
         if len(self.levels) < 1:
             raise ValueError("at least one quality level is required")
         prev = None
         for lvl in self.levels:
-            if lvl.bitrate_bps <= 0:
-                raise ValueError("bitrates must be positive")
+            if not 0 < lvl.bitrate_bps < math.inf:
+                raise ValueError(f"bitrates must be positive and finite, got {lvl.bitrate_bps}")
             if not 0 < lvl.weight <= 1:
                 raise ValueError("weights must lie in (0, 1]")
             if prev is not None and not (prev.bitrate_bps < lvl.bitrate_bps and prev.weight < lvl.weight):

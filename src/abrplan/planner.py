@@ -14,6 +14,7 @@ a fixed number of tolerated playback stalls.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
@@ -52,6 +53,7 @@ class PlanResult:
     plan: QualityPlan
     outcome: SessionOutcome
     candidates_evaluated: int
+    benchmark: Candidate  # the minimum-threshold (greedy) candidate
 
 
 @dataclass(frozen=True)
@@ -97,18 +99,29 @@ def optimal_threshold_candidates(trace: CapacityTrace) -> list[float]:
 def invest_threshold_candidates(trace: CapacityTrace, quantum_bits: float) -> list[float]:
     """The candidate ladder the variable-footstep mode walks: the minimum
     capacity, then the threshold after each further quantum, duplicates
-    skipped."""
+    skipped. Steps between the same two cumulative volumes share one
+    threshold, so the walk jumps volume to volume: at most one per slot."""
+    sorted_c = np.sort(trace.as_array)
+    cum = np.cumsum(sorted_c * trace.slot_duration)
     total = float(np.sum(trace.as_array) * trace.slot_duration)
-    out = [float(np.min(trace.as_array))]
+    if total / quantum_bits >= 2**53:  # steps past float precision: the limit has every capacity
+        return optimal_threshold_candidates(trace)
+    out = [float(sorted_c[0])]
     i = 2
     while (i - 1) * quantum_bits < total:
-        alpha = invest_threshold(trace, i, quantum_bits)
+        ind = int(np.searchsorted(cum, i * quantum_bits, side="right")) - 1  # as invest_threshold
+        alpha = float(sorted_c[max(ind, 0)])
         if alpha > out[-1]:
             out.append(alpha)
-        i += 1
-    top = float(np.max(trace.as_array))
-    if out[-1] < top and (i - 1) * quantum_bits >= total:
-        out.append(top)
+        if ind + 1 == len(cum):
+            break
+        # the first step whose budget reaches the next volume; below 2**53 steps
+        # the rounded quotient is within 2 of it
+        i = max(i + 1, math.ceil(cum[ind + 1] / quantum_bits) - 2)
+        while i * quantum_bits < cum[ind + 1]:
+            i += 1
+    if out[-1] < sorted_c[-1]:
+        out.append(float(sorted_c[-1]))
     return out
 
 
@@ -232,6 +245,7 @@ def plan_session(
         plan=best.plan,
         outcome=outcome,
         candidates_evaluated=examined,
+        benchmark=candidates[0],
     )
 
 

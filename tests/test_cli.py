@@ -2,13 +2,22 @@
 
 import json
 import math
+import string
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings, strategies as st
 
-from abrplan import SyntheticTraceConfig, generate_synthetic, save_trace
-from abrplan.cli import PLAN_REPORT_SCHEMA, main
+from abrplan import (
+    SyntheticTraceConfig,
+    coarsen,
+    default_trace_config,
+    generate_synthetic,
+    plan_session,
+    save_trace,
+)
+from abrplan.cli import PLAN_REPORT_SCHEMA, load_video_spec, main
 
 SMALL_VIDEO = {
     "n_segments": 12,
@@ -343,6 +352,42 @@ class TestBench:
         )
         assert result.exit_code == 4
 
+    def test_period_rows_match_the_library(self, runner, video_file, tmp_path):
+        """Each period row holds the seeded windows resampled by exactly
+        that period, scored relative to the 1 s baseline."""
+        out = tmp_path / "bench.csv"
+        result = runner.invoke(
+            main,
+            ["bench", "--video", video_file, "--periods", "1,2", "--n-traces", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        spec = load_video_spec(video_file)
+
+        def mean_scores(factor):
+            outcomes = [
+                plan_session(coarsen(generate_synthetic(default_trace_config(seed)), factor), spec, 4.5).outcome
+                for seed in range(2)
+            ]
+            return [sum(getattr(o, f) for o in outcomes) / 2 for f in ("utilization", "quality", "cost")]
+
+        base = mean_scores(1)
+        _, rows = _read_csv(out)
+        assert [(r["kind"], float(r["value"])) for r in rows] == [("period", 1.0), ("period", 2.0)]
+        for row, factor in zip(rows, (1, 2)):
+            expected = [x / b for x, b in zip(mean_scores(factor), base)]
+            got = [float(row[c]) for c in ("accuracy_sigma", "accuracy_rho", "accuracy_cost")]
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("periods", ["1.5", "0.5", "1,2.5"])
+    def test_fractional_period_is_a_usage_error(self, runner, video_file, tmp_path, periods):
+        out = tmp_path / "bench.csv"
+        result = runner.invoke(
+            main,
+            ["bench", "--video", video_file, "--periods", periods, "--n-traces", "1", "--out", str(out)],
+        )
+        _assert_one_line_error(result, 4)
+        assert not out.exists()
+
 
 
 def _command_args(command, video_file, trace_file, tmp_path, out):
@@ -400,11 +445,18 @@ class TestJobs:
         _assert_one_line_error(result, 4)
         assert not out.exists()
 
-    def test_one_job_accepted(self, runner, video_file, trace_file, tmp_path):
-        out = tmp_path / "r.json"
-        args = _command_args("plan", video_file, trace_file, tmp_path, out)
-        assert runner.invoke(main, args + ["--jobs", "1"]).exit_code == 0
-        assert out.exists()
+    def test_one_job_accepted(self, runner, video_file, tmp_path):
+        """bench takes --jobs; two workers give the rows one does, apart
+        from the wall-clock column."""
+        rows = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"bench-{jobs}.csv"
+            args = ["bench", "--video", video_file, "--periods", "1,2", "--quantums", "2e6",
+                    "--n-traces", "2", "--jobs", jobs, "--out", str(out)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            rows[jobs] = [{k: v for k, v in r.items() if k != "mean_runtime_s"} for r in _read_csv(out)[1]]
+        assert rows["1"] == rows["2"]
 
 
 class TestOutOfRangeTrace:
@@ -424,6 +476,207 @@ class TestOutOfRangeTrace:
         result = runner.invoke(main, _command_args(command, video_file, str(bad), trace_dir, out))
         _assert_one_line_error(result, 3)
         assert not out.exists()
+
+
+_NUMERIC_FLAGS = [
+    ("plan", "--a"), ("sweep-a", "--a"), ("stall-scan", "--a"), ("robustness", "--a"), ("bench", "--a"),
+    ("plan", "--quantum-q"), ("robustness", "--quantum-q"), ("plan", "--slot"), ("robustness", "--slot"),
+    ("plan", "--synthetic-seed"), ("stall-scan", "--stride"),
+    ("bench", "--n-traces"), ("bench", "--jobs"), ("bench", "--periods"), ("bench", "--quantums"),
+]
+
+
+class TestUsageErrors:
+    """Every bad flag, value or spec ends in exit 4 and one error line."""
+
+    @pytest.mark.parametrize("command, flag", _NUMERIC_FLAGS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_out_of_range_number(self, runner, video_file, trace_file, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        args = _command_args(command, video_file, trace_file, tmp_path, out)
+        _assert_one_line_error(runner.invoke(main, args + [flag, value]), 4)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("plan", ["--a", "abc"]),
+            ("plan", ["--bogus"]),
+            ("plan", ["--synthetic-seed", "1.5"]),
+            ("stall-scan", ["--stride", "0"]),
+            ("bench", ["--periods", "0"]),
+            ("bench", ["--periods", "1,x"]),
+            ("bench", ["--mode", "invest"]),
+            ("bench", ["--slot", "2"]),
+            ("bench", ["--synthetic-seed", "0"]),
+            ("robustness", ["--synthetic-seed", "0"]),
+            ("robustness", ["--trace", "trace.csv"]),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_flag(self, runner, video_file, trace_file, tmp_path, command, extra):
+        out = tmp_path / "out"
+        args = _command_args(command, video_file, trace_file, tmp_path, out)
+        _assert_one_line_error(runner.invoke(main, args + extra), 4)
+        assert not out.exists()
+
+    def test_missing_a_and_unknown_command(self, runner, trace_file, tmp_path):
+        out = tmp_path / "out"
+        _assert_one_line_error(runner.invoke(main, ["plan", "--trace", trace_file, "--out", str(out)]), 4)
+        _assert_one_line_error(runner.invoke(main, ["replan", "--a", "1"]), 4)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_segments", 12.5), ("n_segments", True), ("frame_rate", math.inf),
+         ("frame_rate", math.nan), ("bitrate_bps", math.nan), ("levels", 3)],
+    )
+    def test_bad_video_spec(self, runner, tmp_path, field, value):
+        video = dict(SMALL_VIDEO, levels=[dict(lvl) for lvl in SMALL_VIDEO["levels"]])
+        if field == "bitrate_bps":
+            video["levels"][0][field] = value
+        else:
+            video[field] = value
+        path = tmp_path / "video.json"
+        path.write_text(json.dumps(video))
+        out = tmp_path / "r.json"
+        args = ["plan", "--video", str(path), "--synthetic-seed", "0", "--a", "1", "--out", str(out)]
+        _assert_one_line_error(runner.invoke(main, args), 4)
+        assert not out.exists()
+
+
+# Values each flag is drawn from: ones a command accepts first, then bad
+# ones. ``$name`` fields name the files of ``invocation_files``, ``$out`` and
+# ``$dump`` the outputs of one example.
+_GOOD = {
+    "--video": ["$video"],
+    "--trace": ["$trace"],
+    "--synthetic-seed": ["0", "1"],
+    "--mode": ["optimal", "invest"],
+    "--quantum-q": ["2e6", "5e5", "1"],
+    "--slot": ["1", "2"],
+    "--out": ["$out"],
+    "--a": ["0", "2", "4.5", "1e308", "-0"],
+    "--dump-trajectories": ["$dump"],
+    "--stride": ["4", "100"],
+    "--trace-dir": ["$realizations"],
+    "--jobs": ["1", "2"],
+    "--periods": ["1,2", "2", "1,,2"],
+    "--quantums": ["2e6", "1e6,5e6", "1"],
+    "--n-traces": ["1", "2"],
+}
+_BAD = {
+    "--video": ["$missing", "$dir", "$junk", "$bad_video", ""],
+    "--trace": ["$missing", "$dir", "$junk", "$short_trace"],
+    "--synthetic-seed": ["-1", "nan", "1.5", "x"],
+    "--mode": ["greedy", ""],
+    "--quantum-q": ["0", "-1", "nan", "inf", "x"],
+    "--slot": ["0.5", "1.5", "0", "-2", "nan", "inf", "1e300", "x"],
+    "--out": ["$dir", "$missing/r", "$junk/r"],
+    "--a": ["-1", "nan", "inf", "-inf", "abc", ""],
+    "--dump-trajectories": ["$junk/traj"],
+    "--stride": ["0", "-2", "nan", "x"],
+    "--trace-dir": ["$dir", "$missing", "$mismatched", "$junk_dir"],
+    "--jobs": ["0", "-1", "x"],
+    "--periods": ["0", "0.5", "1.5", "nan", "inf", "-1", "x", ""],
+    "--quantums": ["0", "-1", "nan", "inf", "x", ","],
+    "--n-traces": ["0", "-1", "nan", "x"],
+}
+# Flags each command needs to run, and the ones it may take.
+_REQUIRED = {
+    "plan": ["--video", "--trace", "--a", "--out"],
+    "sweep-a": ["--video", "--trace", "--a", "--out"],
+    "stall-scan": ["--video", "--trace", "--a", "--stride", "--out"],
+    "robustness": ["--video", "--trace-dir", "--a", "--out"],
+    "bench": ["--video", "--periods", "--n-traces", "--out"],
+}
+_OPTIONAL = {
+    "plan": ["--mode", "--quantum-q", "--slot"],
+    "sweep-a": ["--mode", "--quantum-q", "--slot", "--dump-trajectories"],
+    "stall-scan": ["--mode", "--quantum-q", "--slot"],
+    "robustness": ["--mode", "--quantum-q", "--slot"],
+    "bench": ["--a", "--quantums", "--jobs"],
+}
+
+# Never dropped: without them a run falls back to the stock 180-segment
+# video, a stall at every position or 100 bench traces, which is only slow.
+_KEEP = {"--video", "--stride", "--n-traces"}
+
+
+@st.composite
+def _invocations(draw):
+    """A command with valid flags (a seeded window may stand in for the
+    trace file), then up to two faults: a flag dropped, or a flag (the
+    command's own or not) given a bad, odd or valid value. Path flags take
+    no odd values, so nothing is written outside the example's directory."""
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    flags = {f: draw(st.sampled_from(_GOOD[f])) for f in _REQUIRED[command]}
+    if "--trace" in flags and draw(st.booleans()):
+        del flags["--trace"]
+        flags["--synthetic-seed"] = draw(st.sampled_from(_GOOD["--synthetic-seed"]))
+    for f in _OPTIONAL[command]:
+        if draw(st.booleans()):
+            flags[f] = draw(st.sampled_from(_GOOD[f]))
+    own = _REQUIRED[command] + _OPTIONAL[command]
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from(own * 3 + sorted(_GOOD)))  # mostly the command's own
+        fault = draw(st.sampled_from(["drop", "bad", "odd", "good"]))
+        if fault == "drop" and flag not in _KEEP:
+            flags.pop(flag, None)
+        elif fault == "odd" and flag in ("--a", "--quantum-q", "--slot"):
+            flags[flag] = repr(draw(st.floats()))
+        elif fault == "odd" and not _GOOD[flag][0].startswith("$"):
+            flags[flag] = draw(st.text(max_size=6))
+        else:
+            flags[flag] = draw(st.sampled_from((_BAD if fault == "bad" else _GOOD)[flag]))
+    return [command] + [token for flag, value in flags.items() for token in (flag, value)]
+
+
+@pytest.fixture(scope="session")
+def invocation_files(tmp_path_factory):
+    """Inputs the drawn flags point at: valid ones and broken ones."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name in ("dir", "realizations", "mismatched", "junk_dir"):
+        (root / name).mkdir()
+    (root / "video.json").write_text(json.dumps(SMALL_VIDEO))
+    (root / "bad_video.json").write_text(json.dumps(dict(SMALL_VIDEO, frame_rate=0)))
+    (root / "junk.json").write_text("not, json or a trace\n")
+    (root / "junk_dir" / "r0.csv").write_text("slot,capacity\n0,1\n")
+    save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 16, seed=3)), root / "trace.csv")
+    save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 4, seed=0)), root / "short.csv")
+    for seed in range(2):
+        save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 16, seed=seed)), root / "realizations" / f"r{seed}.csv")
+        save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 12 + 4 * seed, seed=seed)), root / "mismatched" / f"r{seed}.csv")
+    names = {"video": "video.json", "bad_video": "bad_video.json", "junk": "junk.json", "trace": "trace.csv", "short_trace": "short.csv"}
+    paths = {key: str(root / name) for key, name in names.items()}
+    paths.update({name: str(root / name) for name in ("dir", "realizations", "mismatched", "junk_dir", "missing")})
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_invocations())
+def test_any_invocation_exits_cleanly(invocation_files, tmp_path_factory, args):
+    """Whatever the flags, a command exits 0, 2, 3 or 4 without a
+    traceback, a failure prints one ``error:`` line, and every JSON file it
+    writes is strict JSON (no NaN or Infinity)."""
+    work = tmp_path_factory.mktemp("run")
+    out = work / ("result.json" if args[0] == "plan" else "result.csv")
+    paths = dict(invocation_files, out=str(out), dump=str(work / "traj"))
+    args = [string.Template(a).safe_substitute(paths) for a in args]
+    result = CliRunner().invoke(main, args)
+    event(f"{args[0]} exit {result.exit_code}")
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code != 0:
+        assert result.output.startswith("error: "), (args, result.output)
+        assert result.output.count("\n") == 1, (args, result.output)
+
+    def reject(constant):
+        raise AssertionError(f"{args} wrote {constant} into JSON")
+
+    for path in work.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_version(runner):

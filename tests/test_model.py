@@ -93,6 +93,25 @@ class TestVideoSpec:
         with pytest.raises(ValueError):
             self._spec(prefetch_frames=9)  # > N*S
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_segments", 12.5), ("n_segments", 4.0), ("n_segments", True),
+         ("frames_per_segment", False), ("prefetch_frames", 2.0)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match="integers"):
+            self._spec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -2.0])
+    def test_rejects_out_of_range_rate_and_bitrate(self, value):
+        with pytest.raises(ValueError, match="frame_rate"):
+            self._spec(frame_rate=value)
+        with pytest.raises(ValueError, match="bitrates"):
+            self._spec(levels=(QualityLevel(value, 0.5), QualityLevel(16.0, 1.0)))
+
+    def test_accepts_numpy_integer_counts(self):
+        assert self._spec(n_segments=np.int64(4)).total_frames == 8
+
 
 def test_weights_from_bitrates():
     w = weights_from_bitrates([0.4, 0.75, 1.0, 2.5, 4.5])

@@ -95,6 +95,17 @@ class TestThresholdCandidates:
             assert set(invest_threshold_candidates(t, q)) <= opt
 
 
+    def test_invest_ladder_with_a_tiny_quantum(self):
+        """The walk takes at most one step per slot, so a quantum of one bit
+        on a 190-slot window finishes at once; below float precision the
+        ladder is its limit, every distinct capacity."""
+        rng = np.random.default_rng(2)
+        t = CapacityTrace(1.0, tuple(rng.uniform(1 * M, 3 * M, 190).tolist()))
+        opt = optimal_threshold_candidates(t)
+        assert invest_threshold_candidates(t, 1.0) == opt
+        assert invest_threshold_candidates(t, 1e-300) == opt
+
+
 class TestFitAscendingLevels:
     def test_infeasible_when_even_level1_stalls(self, toy_spec):
         starved = CapacityTrace(1.0, (1.0, 1.0, 1.0, 1.0))

@@ -236,6 +236,27 @@ def test_invest_threshold_monotone_in_step(trace, quantum, i1, i2):
     assert invest_threshold(trace, lo, quantum) <= invest_threshold(trace, hi, quantum)
 
 
+def _step_by_step_ladder(trace, quantum):
+    """The invest ladder walked one quantum at a time."""
+    total = float(np.sum(trace.as_array) * trace.slot_duration)
+    out = [min(trace.capacities)]
+    i = 2
+    while (i - 1) * quantum < total:
+        alpha = invest_threshold(trace, i, quantum)
+        if alpha > out[-1]:
+            out.append(alpha)
+        i += 1
+    return out if out[-1] == max(trace.capacities) else out + [max(trace.capacities)]
+
+
+@FAST
+@given(traces(), st.one_of(st.floats(0.05, 50.0), st.sampled_from([0.25, 0.5, 1.0, 2.0, 5.0])))
+def test_invest_ladder_jumps_match_the_step_walk(trace, quantum):
+    """Jumping from one cumulative volume to the next visits exactly the
+    rungs that walking every quantum does."""
+    assert planner.invest_threshold_candidates(trace, quantum) == _step_by_step_ladder(trace, quantum)
+
+
 @FAST
 @given(traces(), specs_with_plans())
 def test_anticipation_safety(trace, spec_plan):
