@@ -10,17 +10,26 @@ optimal-threshold mode, with a = 4.5 for candidate selection. Timed items:
   plan at the selected threshold (the plan is built once, outside the
   timing);
 - ``fit``: the level fit for the selected threshold, probes included; its
-  time divided by its probe count is the cost of a probe as the fit makes
-  it, plan construction included;
+  time divided by its probe count, simulated and looked up, is the mean
+  cost of a probe as the fit makes it (``fit_per_probe``);
 - ``evaluate``: the full evaluation of the selected candidate;
 - ``select``: ``select_candidate`` over the seed's candidates;
 - ``load_trace``: loading the stock window from a trace CSV export;
-- ``enumerate``: one whole ``enumerate_candidates``, for reference.
+- ``enumerate``: one whole ``enumerate_candidates``, for reference;
+- ``enumerate_30_seeds``: ``enumerate_candidates`` on each of the stock
+  seeds 0-29 in turn (the enumeration that acceptance criteria 4 and 5
+  run), timed as one call; it runs ``SEEDS_REPEATS`` times.
 
-Each item runs ``--repeats`` times; one repeat calls it ``number`` times
+Every other item runs ``--repeats`` times; one repeat calls it ``number`` times
 and records the mean per call. The report gives the median and quartiles
-over the repeats, the probe counts of the fit and of the enumeration, and
-the Python and numpy versions.
+over the repeats, and the Python and numpy versions. Next to the timings
+it counts the probes of the fit and of the enumerations: ``*_probes`` are
+simulated sessions (every call the planner makes to ``exist_violation``,
+``feasible_arrivals`` or ``transmit_video``), ``*_lookups`` the probes the
+fit answered from the frame deadlines (``LevelFit.lookups``; 0 for a
+version without them). ``seeds_digest`` hashes the 30 seeds' thresholds
+examined and candidates (threshold, plan, and the float hex of σ and ρ),
+so that two versions with the same results show the same digest.
 
 End to end, the script also times whole ``abrplan`` processes
 (``python -m abrplan.cli`` with ``PYTHONPATH`` set to ``--src``), each run
@@ -40,6 +49,7 @@ single-threaded, and the CLI runs start one process at a time.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -56,7 +66,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 STOCK_SEED = 0
 STOCK_A = 4.5
 # calls per repeat, chosen so that one repeat of each item takes 10-100 ms
-NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1}
+NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1, "enumerate_30_seeds": 1}
+SEEDS = range(30)
+SEEDS_REPEATS = 3
+# the planner's names for a simulated session, where the version has them
+SIMULATED_PROBES = ("exist_violation", "feasible_arrivals", "transmit_video")
 # whole-process CLI runs (arguments before --out), each run CLI_RUNS times
 CLI_COMMANDS = {
     "plan": ["plan", "--synthetic-seed", "0", "--a", "4.5"],
@@ -120,22 +134,40 @@ def time_item(fn, repeats: int, number: int) -> dict:
     }
 
 
-def count_probes(ap, fn) -> int:
-    """Feasibility probes the planner makes while ``fn`` runs."""
-    calls = 0
-    original = ap.planner.exist_violation
+def count_probes(ap, fn) -> tuple[int, int]:
+    """Simulated and looked-up probes the planner makes while ``fn`` runs."""
+    counts = {"simulated": 0, "lookups": 0}
+    planner = ap.planner
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counted(original, key, amount):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[key] += amount(result)
+            return result
 
-    ap.planner.exist_violation = counted
+        return wrapper
+
+    patches = [(name, counted(getattr(planner, name), "simulated", lambda _: 1)) for name in SIMULATED_PROBES if hasattr(planner, name)]
+    fit = counted(planner.fit_ascending_levels, "lookups", lambda result: getattr(result, "lookups", 0))
+    patches.append(("fit_ascending_levels", fit))
+    originals = [(name, getattr(planner, name)) for name, _ in patches]
+    for name, wrapper in patches:
+        setattr(planner, name, wrapper)
     try:
         fn()
     finally:
-        ap.planner.exist_violation = original
-    return calls
+        for name, original in originals:
+            setattr(planner, name, original)
+    return counts["simulated"], counts["lookups"]
+
+
+def enumerate_seeds(ap, spec, traces) -> list:
+    """Thresholds examined and candidates of each seed's enumeration."""
+    out = []
+    for trace in traces:
+        candidates, examined = ap.planner.enumerate_candidates(trace, spec)
+        out.append((examined, [(c.alpha.hex(), c.plan.segment_levels, c.sigma.hex(), c.rho.hex()) for c in candidates]))
+    return out
 
 
 def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
@@ -149,12 +181,25 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     best = planner.select_candidate(candidates, STOCK_A)
     alpha, plan = best.alpha, best.plan
 
+    seed_traces = [ap.generate_synthetic(ap.default_trace_config(seed)) for seed in SEEDS]
+    seed_results = enumerate_seeds(ap, spec, seed_traces)
+    enumerate_probes, enumerate_lookups = count_probes(ap, lambda: planner.enumerate_candidates(trace, spec))
+    fit_probes, fit_lookups = count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec))
+    seeds_probes, seeds_lookups = count_probes(ap, lambda: enumerate_seeds(ap, spec, seed_traces))
     counts = {
         "thresholds_examined": examined,
         "candidates": len(candidates),
-        "enumerate_probes": count_probes(ap, lambda: planner.enumerate_candidates(trace, spec)),
-        "fit_probes": count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec)),
+        "enumerate_probes": enumerate_probes,
+        "enumerate_lookups": enumerate_lookups,
+        "fit_probes": fit_probes,
+        "fit_lookups": fit_lookups,
         "selected_alpha": alpha,
+        "seeds": len(SEEDS),
+        "seeds_thresholds_examined": sum(examined for examined, _ in seed_results),
+        "seeds_candidates": sum(len(cands) for _, cands in seed_results),
+        "seeds_probes": seeds_probes,
+        "seeds_lookups": seeds_lookups,
+        "seeds_digest": hashlib.sha256(repr(seed_results).encode()).hexdigest(),
     }
     items = {
         "probe": lambda: ap.exist_violation(trace, alpha, spec, plan),
@@ -166,9 +211,12 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     }
     timings = {name: time_item(fn, repeats, NUMBER[name]) for name, fn in items.items()}
     timings["fit_per_probe"] = {
-        key: value / counts["fit_probes"] if key.endswith("_s") else value
+        key: value / (fit_probes + fit_lookups) if key.endswith("_s") else value
         for key, value in timings["fit"].items()
     }
+    timings["enumerate_30_seeds"] = time_item(
+        lambda: enumerate_seeds(ap, spec, seed_traces), SEEDS_REPEATS, NUMBER["enumerate_30_seeds"]
+    )
     return counts, timings
 
 

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -213,8 +212,14 @@ _instance_options = _stack(
 
 class _Group(click.Group):
     """The one place a failure becomes an exit code and an ``error:`` line:
-    usage errors (subcommand options are parsed inside ``invoke``) exit 4,
-    abrplan errors exit with their ``exit_code``, OSErrors exit 3."""
+    usage errors (the group's own options included) exit 4, abrplan errors
+    exit with their ``exit_code``, OSErrors exit 3."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _fail(4, exc.format_message())
 
     def invoke(self, ctx):
         try:
@@ -227,7 +232,7 @@ class _Group(click.Group):
             _fail(3, f"I/O failure: {exc}")
 
 
-@click.group(cls=_Group, context_settings={"auto_envvar_prefix": "ABRPLAN"})
+@click.group(cls=_Group, no_args_is_help=False, context_settings={"auto_envvar_prefix": "ABRPLAN"})
 @click.version_option(version=__version__, prog_name="abrplan")
 def main():
     """Anticipative streaming planner experiment driver."""
@@ -434,6 +439,9 @@ def cmd_bench(video, out, jobs, a_value, periods, quantums, n_traces):
         for seed in range(n_traces)
     ]
     if jobs > 1:
+        # imported here: the process-pool machinery is about 0.5 MB that no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_bench_cell, cells))
     else:

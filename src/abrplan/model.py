@@ -104,16 +104,16 @@ class VideoSpec:
                 raise ValueError(f"segment and frame counts must be integers, got {count!r}")
         if self.n_segments < 1 or self.frames_per_segment < 1:
             raise ValueError("segment and frame counts must be >= 1")
-        if not 0 < self.frame_rate < math.inf:  # also rejects nan
-            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
+        if isinstance(self.frame_rate, (bool, np.bool_)) or not 0 < self.frame_rate < math.inf:  # also rejects nan
+            raise ValueError(f"frame_rate must be a positive, finite number, got {self.frame_rate!r}")
         if len(self.levels) < 1:
             raise ValueError("at least one quality level is required")
         prev = None
         for lvl in self.levels:
-            if not 0 < lvl.bitrate_bps < math.inf:
-                raise ValueError(f"bitrates must be positive and finite, got {lvl.bitrate_bps}")
-            if not 0 < lvl.weight <= 1:
-                raise ValueError("weights must lie in (0, 1]")
+            if isinstance(lvl.bitrate_bps, (bool, np.bool_)) or not 0 < lvl.bitrate_bps < math.inf:
+                raise ValueError(f"bitrates must be positive, finite numbers, got {lvl.bitrate_bps!r}")
+            if isinstance(lvl.weight, (bool, np.bool_)) or not 0 < lvl.weight <= 1:
+                raise ValueError(f"weights must be numbers in (0, 1], got {lvl.weight!r}")
             if prev is not None and not (prev.bitrate_bps < lvl.bitrate_bps and prev.weight < lvl.weight):
                 raise ValueError("bitrates and weights must be strictly increasing")
             prev = lvl

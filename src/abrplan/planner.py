@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -29,8 +30,10 @@ from .model import (
     compute_cost,
     compute_quality,
     compute_utilization,
+    make_threshold_schedule,
 )
 from .sim import DEFAULT_SIM, SimConfig, evaluate, exist_violation, run_session, session_length
+from .sim import _EPS, checkpoint_curve, feasible_arrivals, transmit_video
 
 ThresholdMode = Literal["optimal", "invest"]
 
@@ -43,8 +46,8 @@ class InvestConfig:
     quantum_bits: float
 
     def __post_init__(self):
-        if self.quantum_bits <= 0:
-            raise ValueError("quantum_bits must be positive")
+        if not 0 < self.quantum_bits < math.inf:  # also rejects nan
+            raise ValueError(f"quantum_bits must be positive and finite, got {self.quantum_bits}")
 
 
 @dataclass(frozen=True)
@@ -58,19 +61,22 @@ class PlanResult:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One evaluated threshold: its fitted plan and a-independent scores."""
+    """One evaluated threshold: its fitted plan and a-independent scores.
+    It keeps what it was evaluated on and simulates the full outcome again
+    when that is first read, so that an enumeration holds no per-slot data
+    for each threshold."""
 
     alpha: float
     plan: QualityPlan
-    outcome: SessionOutcome  # cost field is meaningless here (computed at a=0)
+    sigma: float
+    rho: float
+    evaluated_on: tuple = field(default=(), repr=False, compare=False)  # (trace, spec, config)
 
-    @property
-    def sigma(self) -> float:
-        return self.outcome.utilization
-
-    @property
-    def rho(self) -> float:
-        return self.outcome.quality
+    @cached_property
+    def outcome(self) -> SessionOutcome:
+        """The simulated session, with its cost computed at a = 0."""
+        trace, spec, config = self.evaluated_on
+        return evaluate(trace, self.alpha, spec, self.plan, a=0.0, config=config)
 
 
 def invest_threshold(trace: CapacityTrace, step_index: int, quantum_bits: float) -> float:
@@ -129,6 +135,22 @@ def invest_threshold_candidates(trace: CapacityTrace, quantum_bits: float) -> li
 class LevelFit:
     feasible: bool
     plan: QualityPlan
+    lookups: int = 0  # probes answered from the frame deadlines instead of simulated
+
+
+def _suffix_lookup(u, due, curve, m: int, cost: float):
+    """``fits(f)``: whether a run of frames f.. at ``cost`` a frame, started
+    in the slot after the arrivals u reach f, has ``due[i]`` frames by each
+    checkpoint i where more than f are due (see ``feasible_arrivals``)."""
+    # latest[i] + f * cost: the furthest start that keeps up from checkpoint i on
+    latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
+
+    def fits(first: int) -> bool:
+        k = (int(u.searchsorted(first)) - 1) // m + 1  # slot the run starts in
+        deadline = int(due.searchsorted(first, side="right"))  # of frame ``first``
+        return k * m < len(curve) - 1 and curve[k * m] <= latest[deadline] + first * cost + _EPS * cost
+
+    return fits
 
 
 def fit_ascending_levels(
@@ -143,35 +165,44 @@ def fit_ascending_levels(
     turn, binary-searches the earliest segment from which that level can
     run to the end of the video without a stall. Cache segments stay at
     level 1. Infeasible means even the all-level-1 session stalls.
+
+    A probe at segment ``mid`` (the current plan below it, level s from it
+    on) is one lookup: the current plan is feasible, so the probe is
+    feasible iff its level-s run meets its frames' deadlines.
     """
-    n = spec.n_segments
+    n, fps, m = spec.n_segments, spec.frames_per_segment, config.checkpoints_per_slot
     plan = QualityPlan.uniform(spec, 1)
-    if exist_violation(trace, alpha, spec, plan, config):
+    if (session := feasible_arrivals(trace, alpha, spec, plan, config)) is None:
         return LevelFit(False, plan)
-    n_cache = spec.cache_segments
+    u, due = session
+    schedule = make_threshold_schedule(trace, alpha)
+    curve = checkpoint_curve(schedule, m)
+    lookups = 0
     # starts[j] is the first segment at level j + 1; a level that a later
     # one covers entirely keeps its entry, with an empty run, so that the
     # index still names the level
     starts = [0]
     for s in range(2, spec.n_levels + 1):
-        lo = max(starts[-1], n_cache)
+        fits = _suffix_lookup(u, due, curve, m, spec.frame_bits(s) / trace.slot_duration)
+        lo = max(starts[-1], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            runs = [(start, j + 1) for j, start in enumerate(starts) if start < mid]
-            trial = QualityPlan.from_runs(runs + [(mid, s)], n)
-            if exist_violation(trace, alpha, spec, trial, config):
-                lo = mid + 1
-            else:
+            lookups += 1
+            if fits(mid * fps):
                 best = mid
                 hi = mid - 1
+            else:
+                lo = mid + 1
         if best == n:
             break  # level s placed nowhere; heavier levels cannot fit either
         starts.append(best)
-    plan = QualityPlan.from_runs([(start, j + 1) for j, start in enumerate(starts)], n)
+        plan = QualityPlan.from_runs([(start, j + 1) for j, start in enumerate(starts)], n)
+        if s < spec.n_levels:  # the arrivals of the plan the next level's probes extend
+            u = transmit_video(trace, schedule, spec, plan, config).frames_at_boundary
     feasible = not exist_violation(trace, alpha, spec, plan, config)
-    return LevelFit(feasible, plan)
+    return LevelFit(feasible, plan, lookups)
 
 
 def enumerate_candidates(
@@ -205,7 +236,7 @@ def enumerate_candidates(
         if not fit.feasible:
             break
         outcome = evaluate(trace, alpha, spec, fit.plan, a=0.0, config=config)
-        out.append(Candidate(alpha=alpha, plan=fit.plan, outcome=outcome))
+        out.append(Candidate(alpha, fit.plan, outcome.utilization, outcome.quality, (trace, spec, config)))
     return out, examined
 
 

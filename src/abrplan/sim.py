@@ -18,6 +18,7 @@ Transmission rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -84,10 +85,12 @@ def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
     return runs
 
 
-def _checkpoint_curve(phase, m: int) -> np.ndarray:
-    """The phase's cumulative-capacity curve at m > 1 checkpoints per slot:
-    its cached running sum, linearly interpolated within each slot."""
+def checkpoint_curve(phase, m: int) -> np.ndarray:
+    """The phase's cumulative-capacity curve at m checkpoints per slot: its
+    cached running sum, linearly interpolated within each slot when m > 1."""
     cum = phase.cumulative
+    if m == 1:
+        return cum
     inside = cum[:-1, None] + phase.as_array[:, None] * (np.arange(m) / m)
     return np.append(inside.ravel(), cum[-1])
 
@@ -134,7 +137,7 @@ def transmit_video(
             break
         phase = trace if greedy else schedule
         rate, cum = phase.as_array, phase.cumulative
-        curve = cum if m == 1 else _checkpoint_curve(phase, m)
+        curve = cum if m == 1 else checkpoint_curve(phase, m)
         cost = frame_bits / dt
         start = float(cum[k] + rate[k] * used)
         stop = start + (run_end - f) * cost
@@ -262,6 +265,41 @@ def run_session(
     return SessionRun(transmit=tx, trajectory=traj, violation=violation)
 
 
+@lru_cache(maxsize=16)
+def _frame_marks(total: int) -> np.ndarray:
+    """g + _EPS for each frame g: frame g is due once the ramp is above it."""
+    marks = np.arange(total) + _EPS
+    marks.flags.writeable = False
+    return marks
+
+
+def feasible_arrivals(
+    trace: CapacityTrace,
+    alpha: float,
+    spec: VideoSpec,
+    plan: QualityPlan,
+    config: SimConfig = DEFAULT_SIM,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Arrivals u and due frames of a session that delivers and plays out
+    the whole video without a stall, else None. due[i] counts the frames g
+    with g + _EPS below the playback ramp at checkpoint i, so frame g's
+    deadline is the first checkpoint where due exceeds g, and the session
+    stalls iff u falls below due. due is the same for every plan at one
+    threshold: the start-up checkpoint depends only on the cache segments,
+    which stay at level 1."""
+    schedule = make_threshold_schedule(trace, alpha)
+    tx = transmit_video(trace, schedule, spec, plan, config)
+    if not tx.completed:
+        return None
+    cdt = trace.slot_duration / config.checkpoints_per_slot
+    u = tx.frames_at_boundary
+    startup, ramp = _playback_ramp(u, spec, cdt)
+    if startup is None or ramp[-1] < spec.total_frames - _EPS:
+        return None  # playback never starts, or the window ends before it finishes
+    due = _frame_marks(spec.total_frames).searchsorted(ramp)
+    return None if (u < due).any() else (u, due)
+
+
 def exist_violation(
     trace: CapacityTrace,
     alpha: float,
@@ -271,17 +309,7 @@ def exist_violation(
 ) -> bool:
     """True iff the session stalls or does not deliver and play out the
     whole video within the window."""
-    schedule = make_threshold_schedule(trace, alpha)
-    tx = transmit_video(trace, schedule, spec, plan, config)
-    if not tx.completed:
-        return True
-    cdt = trace.slot_duration / config.checkpoints_per_slot
-    u = tx.frames_at_boundary
-    startup, ramp = _playback_ramp(u, spec, cdt)
-    if startup is None or ramp[-1] < spec.total_frames - _EPS:
-        return True  # playback never starts, or the window ends before it finishes
-    # l only deviates from the ramp after a first stall
-    return bool((ramp > u + _EPS).any())
+    return feasible_arrivals(trace, alpha, spec, plan, config) is None
 
 
 def session_length(spec: VideoSpec, startup_delay: float, stall_events) -> float:

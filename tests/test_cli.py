@@ -520,6 +520,18 @@ class TestUsageErrors:
         _assert_one_line_error(runner.invoke(main, args + extra), 4)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args", [[], ["--bogus"], ["--bogus", "plan"], ["--version", "--bogus"], ["--a", "1", "plan"]],
+        ids=lambda v: " ".join(v) or "no-args",
+    )
+    def test_bad_top_level_invocation(self, runner, args):
+        _assert_one_line_error(runner.invoke(main, args), 4)
+
+    def test_top_level_help(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage: ")
+
     def test_missing_a_and_unknown_command(self, runner, trace_file, tmp_path):
         out = tmp_path / "out"
         _assert_one_line_error(runner.invoke(main, ["plan", "--trace", trace_file, "--out", str(out)]), 4)
@@ -529,12 +541,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "field, value",
         [("n_segments", 12.5), ("n_segments", True), ("frame_rate", math.inf),
-         ("frame_rate", math.nan), ("bitrate_bps", math.nan), ("levels", 3)],
+         ("frame_rate", math.nan), ("bitrate_bps", math.nan), ("levels", 3),
+         ("frame_rate", True), ("bitrate_bps", True), ("weight", True)],
     )
     def test_bad_video_spec(self, runner, tmp_path, field, value):
         video = dict(SMALL_VIDEO, levels=[dict(lvl) for lvl in SMALL_VIDEO["levels"]])
-        if field == "bitrate_bps":
-            video["levels"][0][field] = value
+        if field in ("bitrate_bps", "weight"):
+            video["levels"][-1 if field == "weight" else 0][field] = value
         else:
             video[field] = value
         path = tmp_path / "video.json"

@@ -109,6 +109,15 @@ class TestVideoSpec:
         with pytest.raises(ValueError, match="bitrates"):
             self._spec(levels=(QualityLevel(value, 0.5), QualityLevel(16.0, 1.0)))
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_rejects_booleans_as_rate_bitrate_and_weight(self, value):
+        with pytest.raises(ValueError, match="frame_rate"):
+            self._spec(frame_rate=value)
+        with pytest.raises(ValueError, match="bitrates"):
+            self._spec(levels=(QualityLevel(value, 0.5), QualityLevel(16.0, 1.0)))
+        with pytest.raises(ValueError, match="weights"):
+            self._spec(levels=(QualityLevel(8.0, 0.5), QualityLevel(16.0, value)))
+
     def test_accepts_numpy_integer_counts(self):
         assert self._spec(n_segments=np.int64(4)).total_frames == 8
 

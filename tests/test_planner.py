@@ -64,6 +64,16 @@ class TestInvestThreshold:
             invest_threshold(self.TRACE, 1, 0.0)
 
 
+class TestInvestConfig:
+    @pytest.mark.parametrize("quantum", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_and_non_finite_quanta(self, quantum):
+        with pytest.raises(ValueError, match="quantum_bits"):
+            InvestConfig(quantum)
+
+    def test_accepts_a_positive_finite_quantum(self):
+        assert InvestConfig(1e-300).quantum_bits == 1e-300
+
+
 class TestThresholdCandidates:
     def test_optimal_is_distinct_sorted(self):
         t = CapacityTrace(1.0, (2.0, 1.0, 2.0, 3.0))
@@ -152,11 +162,9 @@ class TestCandidateSelection:
 
     def test_tie_breaks_to_smaller_alpha(self):
         from abrplan.planner import Candidate
-        from abrplan.model import SessionOutcome
 
         def cand(alpha, sigma, rho):
-            out = SessionOutcome((), (), 0, (), (), sigma, rho, 0.0)
-            return Candidate(alpha, QualityPlan((1,)), out)
+            return Candidate(alpha, QualityPlan((1,)), sigma, rho)
 
         tied = [cand(1.0, 0.5, 0.5), cand(2.0, 0.5, 0.5)]
         assert select_candidate(tied, 1.0).alpha == 1.0

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from abrplan import planner
 from abrplan import (
@@ -22,7 +22,7 @@ from abrplan import (
     run_session,
     transmit_video,
 )
-from abrplan.sim import SimConfig
+from abrplan.sim import _EPS, SimConfig, checkpoint_curve, feasible_arrivals
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -307,39 +307,165 @@ def test_exist_violation_same_for_both_constructions(trace, spec_plan, alpha, gr
 
 
 def list_based_fit(trace, alpha, spec, config):
-    """The level fit over a per-segment list, as a plain binary search:
-    returns (feasible, levels, the levels of every probe in order)."""
+    """The level fit over a per-segment list, as a plain binary search of
+    simulated probes: returns (feasible, levels, the segment ``mid`` of
+    every probe of the searches, in order)."""
     n = spec.n_segments
     levels = [1] * n
-    probes = []
+    mids = []
 
     def violates(candidate):
-        probes.append(tuple(candidate))
         return exist_violation(trace, alpha, spec, QualityPlan(candidate), config)
 
     if violates(levels):
-        return False, levels, probes
+        return False, levels, mids
     for s in range(2, spec.n_levels + 1):
         if s - 1 not in levels:
             break
         lo, hi, best = max(levels.index(s - 1), spec.cache_segments), n - 1, n
         while lo <= hi:
             mid = (lo + hi) // 2
+            mids.append(mid)
             if violates(levels[:mid] + [s] * (n - mid)):
                 lo = mid + 1
             else:
                 best, hi = mid, mid - 1
         levels[best:] = [s] * (n - best)
-    return not violates(levels), levels, probes
+    return not violates(levels), levels, mids
 
 
 @FAST
-@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0), st.booleans())
-def test_fit_matches_list_based_search(trace, spec, alpha, greedy):
-    config = SimConfig(prefetch_greedy=greedy)
-    feasible, levels, probes = list_based_fit(trace, alpha, spec, config)
-    with mock.patch.object(planner, "exist_violation", wraps=exist_violation) as probe:
+@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0), st.booleans(), st.sampled_from([1, 2, 3]))
+def test_fit_matches_list_based_search(trace, spec, alpha, greedy, checkpoints):
+    config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=checkpoints)
+    feasible, levels, mids = list_based_fit(trace, alpha, spec, config)
+    answered = []  # the segment of every probe the fit answers by lookup
+    suffix_lookup = planner._suffix_lookup
+
+    def recording_lookup(*args):
+        fits = suffix_lookup(*args)
+
+        def recorded(first):
+            answered.append(first // spec.frames_per_segment)
+            return fits(first)
+
+        return recorded
+
+    with mock.patch.object(planner, "_suffix_lookup", recording_lookup):
         fit = planner.fit_ascending_levels(trace, alpha, spec, config)
     assert fit.feasible == feasible
     assert fit.plan.segment_levels == tuple(levels)
-    assert [c.args[3].segment_levels for c in probe.call_args_list] == probes
+    assert answered == mids
+    assert fit.lookups == len(mids)
+
+
+@st.composite
+def lookup_instances(draw):
+    """(trace, alpha, spec, feasible plan, config) for the lookup property.
+    Capacities, bitrates and alpha are either arbitrary floats or multiples
+    of 0.1, whose sums tie in exact arithmetic but round apart in floating
+    point, which is what the lookup's _EPS slack is for. The plan is a drawn
+    ascending one if that is feasible, else all level 1; an instance where
+    that stalls too is discarded."""
+    grid = draw(st.booleans())
+    n_slots = draw(st.integers(2, 12))
+    if grid:
+        caps = [0.1 * k for k in draw(st.lists(st.integers(0, 8), min_size=n_slots, max_size=n_slots))]
+        bitrates = [0.1 * k for k in sorted(draw(st.sets(st.integers(1, 9), min_size=2, max_size=4)))]
+        alpha = 0.1 * draw(st.integers(0, 8))
+    else:
+        caps = draw(st.lists(st.floats(0.0, 50.0), min_size=n_slots, max_size=n_slots))
+        bitrates = [1.0]
+        for _ in range(draw(st.integers(1, 3))):
+            bitrates.append(bitrates[-1] * draw(st.floats(1.2, 2.5)))
+        alpha = draw(st.floats(0.0, 30.0))
+    trace = CapacityTrace(draw(st.sampled_from([0.5, 1.0, 2.0])), tuple(caps))
+    n_segments, fps = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    spec = VideoSpec(
+        n_segments=n_segments,
+        frames_per_segment=fps,
+        frame_rate=float(draw(st.integers(1, 4))),
+        levels=tuple(QualityLevel(b, b / bitrates[-1]) for b in bitrates),
+        prefetch_frames=draw(st.integers(1, n_segments * fps)),
+    )
+    config = SimConfig(prefetch_greedy=draw(st.booleans()), checkpoints_per_slot=draw(st.sampled_from([1, 2, 3])))
+    levels, lvl = [1] * n_segments, 1
+    for i in range(spec.cache_segments, n_segments):
+        lvl = levels[i] = draw(st.integers(lvl, spec.n_levels))
+    plan = QualityPlan(levels)
+    if exist_violation(trace, alpha, spec, plan, config):
+        plan = QualityPlan.uniform(spec, 1)
+    assume(not exist_violation(trace, alpha, spec, plan, config))
+    return trace, alpha, spec, plan, config
+
+
+def lookup_mismatches(trace, alpha, spec, plan, config, suffix_lookup):
+    """The (level, segment) probes where a lookup built as the fit builds
+    it disagrees with exist_violation on the probe's plan: the feasible
+    ``plan`` below the segment, and any level above the plan's level just
+    before the segment from there on."""
+    u, due = feasible_arrivals(trace, alpha, spec, plan, config)
+    m = config.checkpoints_per_slot
+    curve = checkpoint_curve(make_threshold_schedule(trace, alpha), m)
+    levels = plan.segment_levels
+    out = []
+    for s in range(2, spec.n_levels + 1):
+        fits = suffix_lookup(u, due, curve, m, spec.frame_bits(s) / trace.slot_duration)
+        for mid in range(spec.cache_segments, spec.n_segments):
+            if levels[mid - 1] < s:
+                probe = QualityPlan(levels[:mid] + (s,) * (spec.n_segments - mid))
+                if fits(mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe, config):
+                    out.append((s, mid))
+    return out
+
+
+# positions on the 0.1 grid where a level-3 run from segment 4 ties its
+# deadlines in exact arithmetic, and only the _EPS slack accepts it
+_TIE = (
+    CapacityTrace(2.0, tuple(0.1 * k for k in (0, 7, 4, 1, 6, 3, 4, 7, 5))),
+    0.4,
+    VideoSpec(8, 3, 2.0, tuple(QualityLevel(0.1 * k, k / 7) for k in (2, 6, 7)), 1),
+    QualityPlan((1,) * 8),
+    SimConfig(prefetch_greedy=True, checkpoints_per_slot=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lookup_instances())
+@example(_TIE)
+def test_lookup_matches_simulated_probe(instance):
+    assert lookup_mismatches(*instance, planner._suffix_lookup) == []
+
+
+def _lookup_without_eps(u, due, curve, m, cost):
+    """``planner._suffix_lookup`` without the _EPS * cost slack."""
+    latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
+
+    def fits(first):
+        k = (int(u.searchsorted(first)) - 1) // m + 1
+        deadline = int(due.searchsorted(first, side="right"))
+        return k * m < len(curve) - 1 and curve[k * m] <= latest[deadline] + first * cost
+
+    return fits
+
+
+def _lookup_one_slot_early(u, due, curve, m, cost):
+    """``planner._suffix_lookup`` with the run starting in the slot where
+    the frames before it complete, one slot early."""
+    latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
+
+    def fits(first):
+        k = (int(u.searchsorted(first)) - 1) // m
+        deadline = int(due.searchsorted(first, side="right"))
+        return k * m < len(curve) - 1 and curve[k * m] <= latest[deadline] + first * cost + _EPS * cost
+
+    return fits
+
+
+@pytest.mark.parametrize("mutant", [_lookup_without_eps, _lookup_one_slot_early])
+def test_lookup_property_catches_broken_lookups(mutant):
+    find(
+        lookup_instances(),
+        lambda instance: bool(lookup_mismatches(*instance, mutant)),
+        settings=settings(max_examples=3000, derandomize=True, database=None, phases=[Phase.generate]),
+    )
