@@ -37,6 +37,10 @@ End to end, the script also times whole ``abrplan`` processes
 seed 0, ``stall-scan --stride 20`` on it, and ``bench --periods 1,2
 --n-traces 2``. It reports the median, minimum and maximum wall time.
 
+The record also gives the line count of each module of the package under
+``--src`` and their total (``source_lines``), the code-size figure the
+ROADMAP tracks.
+
 The run is appended to the JSON list in ``--out``. ``--src`` selects the
 ``src`` directory that ``abrplan`` is imported from (default: this
 checkout's), so one copy of this script can time two versions of the
@@ -112,6 +116,12 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor()
+
+
+def source_lines(src: Path) -> dict:
+    """Lines of each module of the ``abrplan`` package under ``src``, and their total."""
+    lines = {path.name: len(path.read_text().splitlines()) for path in sorted((src / "abrplan").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def time_item(fn, repeats: int, number: int) -> dict:
@@ -259,6 +269,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cpu": cpu_model(),
         "nproc": os.cpu_count(),
+        "source_lines": source_lines(args.src),
         "counts": counts,
         "timings": timings,
         "cli": cli,
@@ -267,6 +278,7 @@ def main(argv=None) -> int:
     runs.append(record)
     args.out.write_text(json.dumps(runs, indent=2) + "\n")
 
+    print(f"  {'source_lines':<22} {record['source_lines']['total']}")
     for name, key in counts.items():
         print(f"  {name:<22} {key}")
     for name, t in timings.items():

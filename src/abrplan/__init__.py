@@ -47,13 +47,7 @@ from .planner import (
     relative_performance_error,
     select_candidate,
 )
-from .sim import (
-    SimConfig,
-    evaluate,
-    exist_violation,
-    run_session,
-    transmit_video,
-)
+from .sim import evaluate, exist_violation, run_session, transmit_video
 from .traces import (
     ColumnMap,
     RawBandwidthLog,

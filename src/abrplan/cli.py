@@ -78,6 +78,8 @@ PLAN_REPORT_SCHEMA = {
         "metadata": {"type": "object"},
     },
 }
+# built once: ``jsonschema.validate`` would check the schema itself on every report
+_PLAN_REPORT_VALIDATOR = jsonschema.Draft202012Validator(PLAN_REPORT_SCHEMA)
 
 _CSV_SCHEMAS = {
     "sweep_a": ("a", "alpha_th", "utilization", "quality", "cost"),
@@ -270,7 +272,7 @@ def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, ou
         "bits_used_per_slot": list(outcome.bits_used_per_slot),
         "metadata": {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")},
     }
-    jsonschema.validate(report, PLAN_REPORT_SCHEMA)
+    _PLAN_REPORT_VALIDATOR.validate(report)
     write_text_atomic(out, json.dumps(report, indent=2) + "\n")
     click.echo(f"alpha_th={result.alpha_th} cost={outcome.cost:.6g} -> {out}")
 

@@ -155,16 +155,11 @@ class VideoSpec:
         return arr
 
 
-def weights_from_bitrates(bitrates: Sequence[float], proportional_to_sum: bool = False) -> tuple[float, ...]:
-    """Derive level weights from bitrates.
-
-    Default normalizes by the top bitrate so the best level has weight 1.
-    ``proportional_to_sum`` normalizes by the bitrate sum instead (weights
-    then sum to 1 and the top weight is below 1).
-    """
+def weights_from_bitrates(bitrates: Sequence[float]) -> tuple[float, ...]:
+    """Level weights from bitrates, normalized by the top bitrate so the
+    best level has weight 1."""
     bs = [float(b) for b in bitrates]
-    denom = sum(bs) if proportional_to_sum else max(bs)
-    return tuple(b / denom for b in bs)
+    return tuple(b / max(bs) for b in bs)
 
 
 @dataclass(frozen=True, init=False)

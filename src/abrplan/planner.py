@@ -32,8 +32,7 @@ from .model import (
     compute_utilization,
     make_threshold_schedule,
 )
-from .sim import DEFAULT_SIM, SimConfig, evaluate, exist_violation, run_session, session_length
-from .sim import _EPS, checkpoint_curve, feasible_arrivals, transmit_video
+from .sim import _EPS, evaluate, exist_violation, feasible_arrivals, run_session, session_length, transmit_video
 
 ThresholdMode = Literal["optimal", "invest"]
 
@@ -70,13 +69,13 @@ class Candidate:
     plan: QualityPlan
     sigma: float
     rho: float
-    evaluated_on: tuple = field(default=(), repr=False, compare=False)  # (trace, spec, config)
+    evaluated_on: tuple = field(default=(), repr=False, compare=False)  # (trace, spec)
 
     @cached_property
     def outcome(self) -> SessionOutcome:
         """The simulated session, with its cost computed at a = 0."""
-        trace, spec, config = self.evaluated_on
-        return evaluate(trace, self.alpha, spec, self.plan, a=0.0, config=config)
+        trace, spec = self.evaluated_on
+        return evaluate(trace, self.alpha, spec, self.plan, a=0.0)
 
 
 def invest_threshold(trace: CapacityTrace, step_index: int, quantum_bits: float) -> float:
@@ -138,17 +137,17 @@ class LevelFit:
     lookups: int = 0  # probes answered from the frame deadlines instead of simulated
 
 
-def _suffix_lookup(u, due, curve, m: int, cost: float):
+def _suffix_lookup(u, due, curve, cost: float):
     """``fits(f)``: whether a run of frames f.. at ``cost`` a frame, started
     in the slot after the arrivals u reach f, has ``due[i]`` frames by each
-    checkpoint i where more than f are due (see ``feasible_arrivals``)."""
-    # latest[i] + f * cost: the furthest start that keeps up from checkpoint i on
+    slot boundary i where more than f are due (see ``feasible_arrivals``)."""
+    # latest[i] + f * cost: the furthest start that keeps up from boundary i on
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
     def fits(first: int) -> bool:
-        k = (int(u.searchsorted(first)) - 1) // m + 1  # slot the run starts in
+        k = int(u.searchsorted(first))  # slot the run starts in
         deadline = int(due.searchsorted(first, side="right"))  # of frame ``first``
-        return k * m < len(curve) - 1 and curve[k * m] <= latest[deadline] + first * cost + _EPS * cost
+        return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost + _EPS * cost
 
     return fits
 
@@ -157,7 +156,6 @@ def fit_ascending_levels(
     trace: CapacityTrace,
     alpha: float,
     spec: VideoSpec,
-    config: SimConfig = DEFAULT_SIM,
 ) -> LevelFit:
     """Heuristic quality assignment for a fixed threshold.
 
@@ -170,20 +168,19 @@ def fit_ascending_levels(
     on) is one lookup: the current plan is feasible, so the probe is
     feasible iff its level-s run meets its frames' deadlines.
     """
-    n, fps, m = spec.n_segments, spec.frames_per_segment, config.checkpoints_per_slot
+    n, fps = spec.n_segments, spec.frames_per_segment
     plan = QualityPlan.uniform(spec, 1)
-    if (session := feasible_arrivals(trace, alpha, spec, plan, config)) is None:
+    if (session := feasible_arrivals(trace, alpha, spec, plan)) is None:
         return LevelFit(False, plan)
     u, due = session
     schedule = make_threshold_schedule(trace, alpha)
-    curve = checkpoint_curve(schedule, m)
     lookups = 0
     # starts[j] is the first segment at level j + 1; a level that a later
     # one covers entirely keeps its entry, with an empty run, so that the
     # index still names the level
     starts = [0]
     for s in range(2, spec.n_levels + 1):
-        fits = _suffix_lookup(u, due, curve, m, spec.frame_bits(s) / trace.slot_duration)
+        fits = _suffix_lookup(u, due, schedule.cumulative, spec.frame_bits(s) / trace.slot_duration)
         lo = max(starts[-1], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
@@ -200,8 +197,8 @@ def fit_ascending_levels(
         starts.append(best)
         plan = QualityPlan.from_runs([(start, j + 1) for j, start in enumerate(starts)], n)
         if s < spec.n_levels:  # the arrivals of the plan the next level's probes extend
-            u = transmit_video(trace, schedule, spec, plan, config).frames_at_boundary
-    feasible = not exist_violation(trace, alpha, spec, plan, config)
+            u = transmit_video(trace, schedule, spec, plan).frames_at_boundary
+    feasible = not exist_violation(trace, alpha, spec, plan)
     return LevelFit(feasible, plan, lookups)
 
 
@@ -210,7 +207,6 @@ def enumerate_candidates(
     spec: VideoSpec,
     mode: ThresholdMode = "optimal",
     invest: Optional[InvestConfig] = None,
-    config: SimConfig = DEFAULT_SIM,
 ) -> tuple[list[Candidate], int]:
     """Walk the threshold ladder from the bottom, fitting a plan to each
     candidate, stopping at the first threshold where even the lowest
@@ -232,11 +228,11 @@ def enumerate_candidates(
     examined = 0
     for alpha in alphas:
         examined += 1
-        fit = fit_ascending_levels(trace, alpha, spec, config)
+        fit = fit_ascending_levels(trace, alpha, spec)
         if not fit.feasible:
             break
-        outcome = evaluate(trace, alpha, spec, fit.plan, a=0.0, config=config)
-        out.append(Candidate(alpha, fit.plan, outcome.utilization, outcome.quality, (trace, spec, config)))
+        outcome = evaluate(trace, alpha, spec, fit.plan, a=0.0)
+        out.append(Candidate(alpha, fit.plan, outcome.utilization, outcome.quality, (trace, spec)))
     return out, examined
 
 
@@ -263,12 +259,11 @@ def plan_session(
     a: float,
     mode: ThresholdMode = "optimal",
     invest: Optional[InvestConfig] = None,
-    config: SimConfig = DEFAULT_SIM,
 ) -> PlanResult:
     """End-to-end planning: enumerate thresholds, fit plans, pick the
     cost-minimizing candidate. Raises NoFeasibleSessionError when even the
     lowest-quality session at the minimum capacity threshold stalls."""
-    candidates, examined = enumerate_candidates(trace, spec, mode, invest, config)
+    candidates, examined = enumerate_candidates(trace, spec, mode, invest)
     best = select_candidate(candidates, a)
     outcome = dataclasses.replace(best.outcome, cost=compute_cost(best.sigma, best.rho, a))
     return PlanResult(
@@ -293,7 +288,6 @@ def exhaustive_best_plan(
     spec: VideoSpec,
     a: float,
     max_nodes: int = 2_000_000,
-    config: SimConfig = DEFAULT_SIM,
 ) -> Optional[OracleResult]:
     """Exhaustive search over ascending plans at a fixed threshold.
 
@@ -318,7 +312,7 @@ def exhaustive_best_plan(
         rho = compute_quality(spec, plan)
         if rho < best["rho"]:
             return
-        outcome = evaluate(trace, alpha, spec, plan, a=0.0, config=config)
+        outcome = evaluate(trace, alpha, spec, plan, a=0.0)
         sigma = outcome.utilization
         if (
             best["plan"] is None
@@ -340,7 +334,7 @@ def exhaustive_best_plan(
             if nodes > max_nodes:
                 raise OracleBudgetError(f"search exceeded the {max_nodes} node budget")
             filled = QualityPlan.from_runs(runs + ((pos, lvl),), n)
-            if exist_violation(trace, alpha, spec, filled, config):
+            if exist_violation(trace, alpha, spec, filled):
                 break  # heavier fills only cost more: prune this level and above
             if pos == n - 1:
                 consider(filled)
@@ -349,7 +343,7 @@ def exhaustive_best_plan(
 
     if n_free == 0:
         plan = QualityPlan.uniform(spec, 1)
-        if exist_violation(trace, alpha, spec, plan, config):
+        if exist_violation(trace, alpha, spec, plan):
             return None
         consider(plan)
     else:
@@ -386,12 +380,10 @@ class StallPolicy:
             object.__setattr__(self, "stall_segments", cuts)
 
 
-def detect_stall_segments(
-    trace: CapacityTrace, spec: VideoSpec, k: int, config: SimConfig = DEFAULT_SIM
-) -> tuple[int, ...]:
+def detect_stall_segments(trace: CapacityTrace, spec: VideoSpec, k: int) -> tuple[int, ...]:
     """Segments where stalls occur under lowest quality at full
     utilization (threshold 0, i.e. greedy transmission)."""
-    run = run_session(trace, 0.0, spec, QualityPlan.uniform(spec, 1), config)
+    run = run_session(trace, 0.0, spec, QualityPlan.uniform(spec, 1))
     traj = run.trajectory
     cuts = []
     for cp, _ in traj.stall_events[:k]:
@@ -426,7 +418,6 @@ def plan_with_stalls(
     policy: StallPolicy,
     mode: ThresholdMode = "optimal",
     invest: Optional[InvestConfig] = None,
-    config: SimConfig = DEFAULT_SIM,
 ) -> PartitionedPlan:
     """Split the video at the stall segments into independent sessions,
     plan each on its remaining capacity window, and rescore utilization,
@@ -435,21 +426,10 @@ def plan_with_stalls(
     Each later part re-buffers from empty before resuming, mirroring the
     start-up rule, so its start-up delay is the stall duration.
     """
-    if policy.n_stalls == 0:
-        result = plan_session(trace, spec, a, mode, invest, config)
-        return PartitionedPlan(
-            parts=(result,),
-            cut_segments=(),
-            part_start_slots=(0,),
-            utilization=result.outcome.utilization,
-            quality=result.outcome.quality,
-            cost=result.outcome.cost,
-            session_length=session_length(
-                spec, result.outcome.startup_slot * trace.slot_duration, result.outcome.stall_events
-            ),
-        )
-    cuts = policy.stall_segments or detect_stall_segments(trace, spec, policy.n_stalls, config)
-    if cuts[0] < 2 or cuts[-1] > spec.n_segments:
+    cuts = policy.stall_segments
+    if cuts is None:
+        cuts = detect_stall_segments(trace, spec, policy.n_stalls)
+    if cuts and (cuts[0] < 2 or cuts[-1] > spec.n_segments):
         raise ValueError("cut segments must lie in [2, n_segments]")
     bounds = (1,) + tuple(cuts) + (spec.n_segments + 1,)
     parts: list[PlanResult] = []
@@ -469,7 +449,7 @@ def plan_with_stalls(
             raise InfeasiblePartError(idx, f"no capacity window left for part {idx}")
         part_trace = trace.tail(offset)
         try:
-            result = plan_session(part_trace, part_spec, a, mode, invest, config)
+            result = plan_session(part_trace, part_spec, a, mode, invest)
         except NoFeasibleSessionError as exc:
             raise InfeasiblePartError(idx, f"part {idx} (segments {seg_lo}..{seg_hi - 1}): {exc}") from exc
         parts.append(result)

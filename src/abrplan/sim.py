@@ -2,8 +2,8 @@
 
 Transmits frames in video order under a threshold schedule (with greedy
 prefetch of the cache segments), counts the cumulative arrival curve u and
-the cumulative playback curve l on a checkpoint grid (the slot boundaries
-unless ``checkpoints_per_slot`` is above 1), and reports stalls.
+the cumulative playback curve l at the slot boundaries, and reports stalls
+there.
 
 Transmission rules:
   * frame f of a segment at level j costs b_j / frame_rate bits;
@@ -11,8 +11,8 @@ Transmission rules:
     early when the next frame's level differs from what the slot already
     carried, and the residual capacity of that slot is wasted;
   * a partially transmitted frame carries its progress across slots;
-  * cache segments are transmitted greedily (at full capacity) when
-    ``prefetch_greedy`` is set; all other traffic follows the schedule.
+  * cache segments are transmitted greedily (at full capacity); all other
+    traffic follows the schedule.
 """
 
 from __future__ import annotations
@@ -40,40 +40,18 @@ _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Simulator knobs.
-
-    prefetch_greedy: transmit the cache segments at full capacity instead
-        of the threshold rule (reduces start-up delay).
-    checkpoints_per_slot: granularity of the stall check; 1 checks at slot
-        boundaries only, which matches the grid the capacity is given on.
-    """
-
-    prefetch_greedy: bool = True
-    checkpoints_per_slot: int = 1
-
-    def __post_init__(self):
-        if self.checkpoints_per_slot < 1:
-            raise ValueError("checkpoints_per_slot must be >= 1")
-
-
-DEFAULT_SIM = SimConfig()
-
-
-@dataclass(frozen=True)
 class TransmitResult:
     bits_used_per_slot: np.ndarray
     completed: bool
-    # cumulative frames delivered at each checkpoint (length
-    # n_slots * checkpoints_per_slot + 1; slot boundaries are every m-th)
+    # cumulative frames delivered at each slot boundary (length n_slots + 1)
     frames_at_boundary: np.ndarray = field(repr=False)
 
 
-def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
+def _runs(spec: VideoSpec, plan: QualityPlan):
     """Split the frame sequence into (end_frame, level, frame_bits, greedy)
-    runs: the plan's runs, with the one that spans the end of a greedy
+    runs: the plan's runs, with the one that spans the end of the greedy
     cache phase split there."""
-    n_greedy = spec.cache_segments if prefetch_greedy else 0
+    n_greedy = spec.cache_segments
     fps = spec.frames_per_segment
     runs = []
     for start, end, level in plan.spans():
@@ -85,22 +63,11 @@ def _runs(spec: VideoSpec, plan: QualityPlan, prefetch_greedy: bool):
     return runs
 
 
-def checkpoint_curve(phase, m: int) -> np.ndarray:
-    """The phase's cumulative-capacity curve at m checkpoints per slot: its
-    cached running sum, linearly interpolated within each slot when m > 1."""
-    cum = phase.cumulative
-    if m == 1:
-        return cum
-    inside = cum[:-1, None] + phase.as_array[:, None] * (np.arange(m) / m)
-    return np.append(inside.ravel(), cum[-1])
-
-
 def transmit_video(
     trace: CapacityTrace,
     schedule: ThresholdSchedule,
     spec: VideoSpec,
     plan: QualityPlan,
-    config: SimConfig = DEFAULT_SIM,
 ) -> TransmitResult:
     """Deliver frames in order under the schedule; see the module docstring
     for the transmission rules. ``completed`` is False (not an error) when
@@ -109,8 +76,8 @@ def transmit_video(
     Delivery goes one run (see ``_runs``) at a time. A run starts at a
     position on the cumulative-capacity curve of its phase: the trace for
     greedy cache traffic, the schedule otherwise. The frames it has
-    delivered by a checkpoint are the whole frames that fit between that
-    position and the curve there, and one search finds the checkpoint by
+    delivered by a slot boundary are the whole frames that fit between that
+    position and the curve there, and one search finds the boundary by
     which it completes. The rest of that slot is wasted, so the next run
     starts in the slot after, unless it keeps the level, which happens only
     where the cache phase ends.
@@ -119,44 +86,41 @@ def transmit_video(
     if schedule.as_array.shape != trace.as_array.shape:
         raise ValueError("schedule was built on a different trace")
     dt = trace.slot_duration
-    m = config.checkpoints_per_slot
     n_slots = trace.n_slots
-    n_cp = n_slots * m
-    runs = _runs(spec, plan, config.prefetch_greedy)
-    moved = np.zeros(n_cp + 1)  # bits / dt delivered by each checkpoint
-    counts = np.zeros(n_cp + 1, dtype=np.int64)
+    runs = _runs(spec, plan)
+    moved = np.zeros(n_slots + 1)  # bits / dt delivered by each boundary
+    counts = np.zeros(n_slots + 1, dtype=np.int64)
 
     # positions and frame costs are in bits / dt, so the cached running sums
     # of the rates serve as the cumulative-capacity curves without scaling
     f, base = 0, 0.0  # frames and bits delivered before the current run
     k, used = 0, 0.0  # slot the current run starts in, fraction of it already used
-    first = 1  # first checkpoint the current run writes
-    last = 0  # last checkpoint written
+    first = 1  # first boundary the current run writes
+    last = 0  # last boundary written
     for i, (run_end, level, frame_bits, greedy) in enumerate(runs):
         if k >= n_slots:
             break
         phase = trace if greedy else schedule
         rate, cum = phase.as_array, phase.cumulative
-        curve = cum if m == 1 else checkpoint_curve(phase, m)
         cost = frame_bits / dt
         start = float(cum[k] + rate[k] * used)
         stop = start + (run_end - f) * cost
-        j = int(curve.searchsorted(stop - _EPS * cost))  # checkpoint by which the run completes
-        last = min(j, n_cp)
-        pos = np.minimum(np.maximum(curve[first : last + 1], start), stop)
+        j = int(cum.searchsorted(stop - _EPS * cost))  # boundary by which the run completes
+        last = min(j, n_slots)
+        pos = np.minimum(np.maximum(cum[first : last + 1], start), stop)
         moved[first : last + 1] = base + (pos - start)
         # whole frames done: (pos - start) / cost + f, with _EPS of slack;
         # the quotient is >= 0, so the integer cast floors it
         counts[first : last + 1] = (pos - (start - (f + _EPS) * cost)) / cost
-        if j <= n_cp:
+        if j <= n_slots:
             counts[j], moved[j] = run_end, base + (stop - start)
         f, base = int(counts[last]), float(moved[last])
-        if j > n_cp:
+        if j > n_slots:
             break
-        k = (j - 1) // m  # slot the run completes in
+        k = j - 1  # slot the run completes in
         used = (stop - cum[k]) / rate[k]
         if i + 1 < len(runs) and runs[i + 1][1] == level and used < 1 - _EPS:
-            first = j  # the continuation rewrites the slot from j on
+            first = j  # the continuation rewrites the slot's end boundary
         else:
             # the next run starts in the next slot; its writes before that
             # clamp to its start, so the rest of this slot reads f and base
@@ -164,7 +128,8 @@ def transmit_video(
     counts[last + 1 :] = f
     moved[last + 1 :] = base
     return TransmitResult(
-        bits_used_per_slot=(moved[m::m] - moved[: -m : m]) * dt,
+        # slices, not np.diff, whose call overhead doubles this on short windows
+        bits_used_per_slot=(moved[1:] - moved[:-1]) * dt,
         completed=f >= spec.total_frames,
         frames_at_boundary=counts,
     )
@@ -172,7 +137,7 @@ def transmit_video(
 
 @dataclass(frozen=True)
 class Trajectory:
-    arrived: np.ndarray  # u at each checkpoint
+    arrived: np.ndarray  # u at each checkpoint (slot boundary)
     watched: np.ndarray  # l at each checkpoint
     startup_checkpoint: Optional[int]
     stall_events: tuple[tuple[int, float], ...]  # (checkpoint, seconds stalled)
@@ -250,12 +215,10 @@ def run_session(
     alpha: float,
     spec: VideoSpec,
     plan: QualityPlan,
-    config: SimConfig = DEFAULT_SIM,
 ) -> SessionRun:
     schedule = make_threshold_schedule(trace, alpha)
-    tx = transmit_video(trace, schedule, spec, plan, config)
-    cdt = trace.slot_duration / config.checkpoints_per_slot
-    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, cdt)
+    tx = transmit_video(trace, schedule, spec, plan)
+    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, trace.slot_duration)
     violation = (
         not tx.completed
         or traj.startup_checkpoint is None
@@ -278,7 +241,6 @@ def feasible_arrivals(
     alpha: float,
     spec: VideoSpec,
     plan: QualityPlan,
-    config: SimConfig = DEFAULT_SIM,
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Arrivals u and due frames of a session that delivers and plays out
     the whole video without a stall, else None. due[i] counts the frames g
@@ -288,12 +250,11 @@ def feasible_arrivals(
     threshold: the start-up checkpoint depends only on the cache segments,
     which stay at level 1."""
     schedule = make_threshold_schedule(trace, alpha)
-    tx = transmit_video(trace, schedule, spec, plan, config)
+    tx = transmit_video(trace, schedule, spec, plan)
     if not tx.completed:
         return None
-    cdt = trace.slot_duration / config.checkpoints_per_slot
     u = tx.frames_at_boundary
-    startup, ramp = _playback_ramp(u, spec, cdt)
+    startup, ramp = _playback_ramp(u, spec, trace.slot_duration)
     if startup is None or ramp[-1] < spec.total_frames - _EPS:
         return None  # playback never starts, or the window ends before it finishes
     due = _frame_marks(spec.total_frames).searchsorted(ramp)
@@ -305,11 +266,10 @@ def exist_violation(
     alpha: float,
     spec: VideoSpec,
     plan: QualityPlan,
-    config: SimConfig = DEFAULT_SIM,
 ) -> bool:
     """True iff the session stalls or does not deliver and play out the
     whole video within the window."""
-    return feasible_arrivals(trace, alpha, spec, plan, config) is None
+    return feasible_arrivals(trace, alpha, spec, plan) is None
 
 
 def session_length(spec: VideoSpec, startup_delay: float, stall_events) -> float:
@@ -324,7 +284,6 @@ def evaluate(
     spec: VideoSpec,
     plan: QualityPlan,
     a: float,
-    config: SimConfig = DEFAULT_SIM,
     strict: bool = True,
 ) -> SessionOutcome:
     """Simulate and score a (threshold, plan) pair.
@@ -333,7 +292,7 @@ def evaluate(
     InfeasiblePlanError. With ``strict=False`` the outcome is returned
     with the stall events recorded (used for robustness studies).
     """
-    run = run_session(trace, alpha, spec, plan, config)
+    run = run_session(trace, alpha, spec, plan)
     if strict and run.violation:
         raise InfeasiblePlanError(
             f"session infeasible at alpha={alpha}: "
@@ -345,14 +304,11 @@ def evaluate(
     length = session_length(spec, traj.startup_checkpoint * traj.checkpoint_dt, traj.stall_events)
     sigma = compute_utilization(trace, run.transmit.bits_used_per_slot, length)
     rho = compute_quality(spec, plan)
-    # report u/l on the slot grid regardless of checkpoint granularity
-    stride = config.checkpoints_per_slot
-    stall_slots = tuple((cp // stride, sec) for cp, sec in traj.stall_events)
     return SessionOutcome(
-        arrived_frames=tuple(traj.arrived[::stride].tolist()),
-        watched_frames=tuple(traj.watched[::stride].tolist()),
-        startup_slot=traj.startup_checkpoint // stride,
-        stall_events=stall_slots,
+        arrived_frames=tuple(traj.arrived.tolist()),
+        watched_frames=tuple(traj.watched.tolist()),
+        startup_slot=traj.startup_checkpoint,
+        stall_events=traj.stall_events,
         bits_used_per_slot=tuple(run.transmit.bits_used_per_slot.tolist()),
         utilization=sigma,
         quality=rho,

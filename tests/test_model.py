@@ -126,9 +126,6 @@ def test_weights_from_bitrates():
     w = weights_from_bitrates([0.4, 0.75, 1.0, 2.5, 4.5])
     assert w[-1] == 1.0
     assert w[0] == pytest.approx(0.4 / 4.5)
-    ws = weights_from_bitrates([0.4, 0.75, 1.0, 2.5, 4.5], proportional_to_sum=True)
-    assert sum(ws) == pytest.approx(1.0)
-    assert ws[-1] < 1.0
 
 
 class TestQualityPlan:

@@ -30,6 +30,7 @@ from abrplan import (
     relative_performance_error,
     select_candidate,
 )
+from abrplan.sim import session_length
 
 from reference import random_small_instance, reference_best_ascending_plan
 
@@ -289,10 +290,21 @@ class TestStallPolicy:
 class TestPlanWithStalls:
     def test_k0_degenerates_to_plan_session(self, toy_spec, toy_trace):
         base = plan_session(toy_trace, toy_spec, 2.0)
-        split = plan_with_stalls(toy_trace, toy_spec, 2.0, StallPolicy(0))
-        assert split.parts == (base,)
-        assert split.cost == pytest.approx(base.outcome.cost)
-        assert split.cut_segments == ()
+        out = base.outcome
+        length = session_length(toy_spec, out.startup_slot * toy_trace.slot_duration, out.stall_events)
+        for policy in (StallPolicy(0), StallPolicy(0, ())):
+            split = plan_with_stalls(toy_trace, toy_spec, 2.0, policy)
+            assert split.parts == (base,)
+            assert (split.utilization, split.quality, split.cost) == (out.utilization, out.quality, out.cost)
+            assert split.session_length == length
+            assert split.cut_segments == ()
+            assert split.part_start_slots == (0,)
+
+    def test_infeasible_k0_is_part_0(self, toy_spec):
+        starved = CapacityTrace(1.0, (1.0,) * 8)
+        with pytest.raises(InfeasiblePartError) as err:
+            plan_with_stalls(starved, toy_spec, 2.0, StallPolicy(0))
+        assert err.value.part_index == 0
 
     def test_partition_shape_and_quality(self, toy_spec):
         trace = CapacityTrace(1.0, (64.0,) * 12)

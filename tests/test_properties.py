@@ -22,7 +22,7 @@ from abrplan import (
     run_session,
     transmit_video,
 )
-from abrplan.sim import _EPS, SimConfig, checkpoint_curve, feasible_arrivals
+from abrplan.sim import _EPS, feasible_arrivals
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -170,21 +170,6 @@ def test_bit_conservation(trace, spec_plan, alpha):
 
 
 @FAST
-@given(traces(), specs_with_plans(), st.floats(0.0, 30.0), st.booleans())
-def test_granularity_changes_only_the_stall_check(trace, spec_plan, alpha, greedy):
-    spec, plan = spec_plan
-    sched = make_threshold_schedule(trace, alpha)
-    coarse = transmit_video(trace, sched, spec, plan, SimConfig(prefetch_greedy=greedy))
-    for m in (2, 3):
-        config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=m)
-        fine = transmit_video(trace, sched, spec, plan, config)
-        assert fine.frames_at_boundary.shape == (trace.n_slots * m + 1,)
-        assert np.array_equal(fine.bits_used_per_slot, coarse.bits_used_per_slot)
-        assert np.array_equal(fine.frames_at_boundary[::m], coarse.frames_at_boundary)
-        assert fine.completed == coarse.completed
-
-
-@FAST
 @given(traces(), specs_with_plans(), st.floats(0.0, 30.0))
 def test_u_dominates_l_and_monotone(trace, spec_plan, alpha):
     spec, plan = spec_plan
@@ -295,18 +280,15 @@ def test_validate_matches_per_segment_rules(spec_levels):
 
 
 @FAST
-@given(traces(), specs_with_plans(), st.floats(0.0, 30.0), st.booleans(), st.sampled_from([1, 3]))
-def test_exist_violation_same_for_both_constructions(trace, spec_plan, alpha, greedy, checkpoints):
+@given(traces(), specs_with_plans(), st.floats(0.0, 30.0))
+def test_exist_violation_same_for_both_constructions(trace, spec_plan, alpha):
     spec, plan = spec_plan
-    config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=checkpoints)
     from_levels = QualityPlan(plan.segment_levels)
     from_runs = QualityPlan.from_runs(per_segment_runs(plan.segment_levels), spec.n_segments)
-    assert exist_violation(trace, alpha, spec, from_levels, config) == exist_violation(
-        trace, alpha, spec, from_runs, config
-    )
+    assert exist_violation(trace, alpha, spec, from_levels) == exist_violation(trace, alpha, spec, from_runs)
 
 
-def list_based_fit(trace, alpha, spec, config):
+def list_based_fit(trace, alpha, spec):
     """The level fit over a per-segment list, as a plain binary search of
     simulated probes: returns (feasible, levels, the segment ``mid`` of
     every probe of the searches, in order)."""
@@ -315,7 +297,7 @@ def list_based_fit(trace, alpha, spec, config):
     mids = []
 
     def violates(candidate):
-        return exist_violation(trace, alpha, spec, QualityPlan(candidate), config)
+        return exist_violation(trace, alpha, spec, QualityPlan(candidate))
 
     if violates(levels):
         return False, levels, mids
@@ -335,10 +317,9 @@ def list_based_fit(trace, alpha, spec, config):
 
 
 @FAST
-@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0), st.booleans(), st.sampled_from([1, 2, 3]))
-def test_fit_matches_list_based_search(trace, spec, alpha, greedy, checkpoints):
-    config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=checkpoints)
-    feasible, levels, mids = list_based_fit(trace, alpha, spec, config)
+@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0))
+def test_fit_matches_list_based_search(trace, spec, alpha):
+    feasible, levels, mids = list_based_fit(trace, alpha, spec)
     answered = []  # the segment of every probe the fit answers by lookup
     suffix_lookup = planner._suffix_lookup
 
@@ -352,7 +333,7 @@ def test_fit_matches_list_based_search(trace, spec, alpha, greedy, checkpoints):
         return recorded
 
     with mock.patch.object(planner, "_suffix_lookup", recording_lookup):
-        fit = planner.fit_ascending_levels(trace, alpha, spec, config)
+        fit = planner.fit_ascending_levels(trace, alpha, spec)
     assert fit.feasible == feasible
     assert fit.plan.segment_levels == tuple(levels)
     assert answered == mids
@@ -361,7 +342,7 @@ def test_fit_matches_list_based_search(trace, spec, alpha, greedy, checkpoints):
 
 @st.composite
 def lookup_instances(draw):
-    """(trace, alpha, spec, feasible plan, config) for the lookup property.
+    """(trace, alpha, spec, feasible plan) for the lookup property.
     Capacities, bitrates and alpha are either arbitrary floats or multiples
     of 0.1, whose sums tie in exact arithmetic but round apart in floating
     point, which is what the lookup's _EPS slack is for. The plan is a drawn
@@ -388,33 +369,31 @@ def lookup_instances(draw):
         levels=tuple(QualityLevel(b, b / bitrates[-1]) for b in bitrates),
         prefetch_frames=draw(st.integers(1, n_segments * fps)),
     )
-    config = SimConfig(prefetch_greedy=draw(st.booleans()), checkpoints_per_slot=draw(st.sampled_from([1, 2, 3])))
     levels, lvl = [1] * n_segments, 1
     for i in range(spec.cache_segments, n_segments):
         lvl = levels[i] = draw(st.integers(lvl, spec.n_levels))
     plan = QualityPlan(levels)
-    if exist_violation(trace, alpha, spec, plan, config):
+    if exist_violation(trace, alpha, spec, plan):
         plan = QualityPlan.uniform(spec, 1)
-    assume(not exist_violation(trace, alpha, spec, plan, config))
-    return trace, alpha, spec, plan, config
+    assume(not exist_violation(trace, alpha, spec, plan))
+    return trace, alpha, spec, plan
 
 
-def lookup_mismatches(trace, alpha, spec, plan, config, suffix_lookup):
+def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     """The (level, segment) probes where a lookup built as the fit builds
     it disagrees with exist_violation on the probe's plan: the feasible
     ``plan`` below the segment, and any level above the plan's level just
     before the segment from there on."""
-    u, due = feasible_arrivals(trace, alpha, spec, plan, config)
-    m = config.checkpoints_per_slot
-    curve = checkpoint_curve(make_threshold_schedule(trace, alpha), m)
+    u, due = feasible_arrivals(trace, alpha, spec, plan)
+    curve = make_threshold_schedule(trace, alpha).cumulative
     levels = plan.segment_levels
     out = []
     for s in range(2, spec.n_levels + 1):
-        fits = suffix_lookup(u, due, curve, m, spec.frame_bits(s) / trace.slot_duration)
+        fits = suffix_lookup(u, due, curve, spec.frame_bits(s) / trace.slot_duration)
         for mid in range(spec.cache_segments, spec.n_segments):
             if levels[mid - 1] < s:
                 probe = QualityPlan(levels[:mid] + (s,) * (spec.n_segments - mid))
-                if fits(mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe, config):
+                if fits(mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe):
                     out.append((s, mid))
     return out
 
@@ -426,7 +405,6 @@ _TIE = (
     0.4,
     VideoSpec(8, 3, 2.0, tuple(QualityLevel(0.1 * k, k / 7) for k in (2, 6, 7)), 1),
     QualityPlan((1,) * 8),
-    SimConfig(prefetch_greedy=True, checkpoints_per_slot=1),
 )
 
 
@@ -437,27 +415,27 @@ def test_lookup_matches_simulated_probe(instance):
     assert lookup_mismatches(*instance, planner._suffix_lookup) == []
 
 
-def _lookup_without_eps(u, due, curve, m, cost):
+def _lookup_without_eps(u, due, curve, cost):
     """``planner._suffix_lookup`` without the _EPS * cost slack."""
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
     def fits(first):
-        k = (int(u.searchsorted(first)) - 1) // m + 1
+        k = int(u.searchsorted(first))
         deadline = int(due.searchsorted(first, side="right"))
-        return k * m < len(curve) - 1 and curve[k * m] <= latest[deadline] + first * cost
+        return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost
 
     return fits
 
 
-def _lookup_one_slot_early(u, due, curve, m, cost):
+def _lookup_one_slot_early(u, due, curve, cost):
     """``planner._suffix_lookup`` with the run starting in the slot where
     the frames before it complete, one slot early."""
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
     def fits(first):
-        k = (int(u.searchsorted(first)) - 1) // m
+        k = int(u.searchsorted(first)) - 1
         deadline = int(due.searchsorted(first, side="right"))
-        return k * m < len(curve) - 1 and curve[k * m] <= latest[deadline] + first * cost + _EPS * cost
+        return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost + _EPS * cost
 
     return fits
 

@@ -9,7 +9,6 @@ from abrplan import (
     InfeasiblePlanError,
     QualityLevel,
     QualityPlan,
-    SimConfig,
     VideoSpec,
     default_trace_config,
     default_video_spec,
@@ -94,29 +93,23 @@ class TestTransmissionRules:
         spec = self._spec()
         trace = CapacityTrace(1.0, (8.0, 100.0, 100.0))
         plan = QualityPlan((1, 1, 2))
-        cfg = SimConfig(checkpoints_per_slot=25)  # a checkpoint every 0.04 s
-        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan, cfg)
+        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan)
         # slot 1 carries frame 2 (level 1, 8 bits) then stops at the level
-        # change; frame 3 (16 bits) waits for slot 2 and lands at 2.16 s
+        # change; frame 3 (16 bits) would fit in the 92 bits left, but
+        # waits for slot 2
         assert np.allclose(tx.bits_used_per_slot, [8.0, 8.0, 16.0])
-        counts = tx.frames_at_boundary
-        assert counts[26] == 1 and counts[27] == 2  # frame 2 at 1.08 s
-        assert np.all(counts[27:54] == 2)
-        assert np.all(counts[54:] == 3)
+        assert tx.frames_at_boundary.tolist() == [0, 1, 2, 3]  # not 3 by boundary 2
 
     def test_partial_frame_carries_across_slots(self):
         spec = self._spec(n_segments=2)
-        trace = CapacityTrace(1.0, (8.0, 6.0, 100.0))
+        trace = CapacityTrace(1.0, (8.0, 6.0, 10.0))
         plan = QualityPlan((1, 2))
-        cfg = SimConfig(checkpoints_per_slot=10)  # a checkpoint every 0.1 s
-        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan, cfg)
+        tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan)
+        # frame 2 receives 6 of its 16 bits in slot 1 and the other 10 in
+        # slot 2, which alone could not carry it
         assert tx.completed
-        # frame 2 receives 6 of its 16 bits in slot 1, the rest in slot 2,
-        # so it lands at 2.1 s
         assert np.allclose(tx.bits_used_per_slot, [8.0, 6.0, 10.0])
-        counts = tx.frames_at_boundary
-        assert np.all(counts[10:21] == 1)
-        assert np.all(counts[21:] == 2)
+        assert tx.frames_at_boundary.tolist() == [0, 1, 1, 2]
 
     def test_no_bits_on_inactive_slots(self):
         spec = self._spec(n_segments=4, prefetch=1)
@@ -134,14 +127,6 @@ class TestTransmissionRules:
         sched = make_threshold_schedule(trace, 5.0)
         tx = transmit_video(trace, sched, spec, plan=QualityPlan.uniform(spec, 1))
         assert tx.bits_used_per_slot[0] > 0
-
-    def test_prefetch_greedy_off(self):
-        spec = self._spec(n_segments=3, prefetch=1)
-        trace = CapacityTrace(1.0, (3.0, 10.0, 10.0))
-        cfg = SimConfig(prefetch_greedy=False)
-        sched = make_threshold_schedule(trace, 5.0)
-        tx = transmit_video(trace, sched, spec, QualityPlan.uniform(spec, 1), cfg)
-        assert tx.bits_used_per_slot[0] == 0.0
 
 
 class TestPlaybackTrajectory:
@@ -238,28 +223,6 @@ class TestEvaluate:
         assert checked > 20
 
 
-class TestCheckpointGranularity:
-    def test_finer_checkpoints_are_stricter(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            spec, trace = random_small_instance(rng)
-            plan = QualityPlan.uniform(spec, 1)
-            alpha = float(min(trace.capacities))
-            fine = exist_violation(trace, alpha, spec, plan, SimConfig(checkpoints_per_slot=4))
-            coarse = exist_violation(trace, alpha, spec, plan)
-            if not fine:
-                assert not coarse
-
-    def test_fine_outcome_reports_on_slot_grid(self, toy_spec, toy_trace):
-        out = evaluate(
-            toy_trace, 16.0, toy_spec, QualityPlan((1, 1, 2, 2)), a=2.0,
-            config=SimConfig(checkpoints_per_slot=3),
-        )
-        assert len(out.arrived_frames) == toy_trace.n_slots + 1
-        # Q0 is buffered 0.5 s in, so the finer grid starts playback in slot 0
-        assert out.startup_slot == 0
-
-
 class TestAgainstReference:
     """Cross-validation against the independent re-simulation oracle."""
 
@@ -284,19 +247,14 @@ class TestAgainstReference:
             plan = self._ascending_plan(rng, spec)
             alpha = float(rng.choice(list(trace.capacities) + [0.0]))
             sched = make_threshold_schedule(trace, alpha)
-            for greedy in (True, False):
-                ref_bits, ref_times, ref_done = reference_transmit(trace, alpha, spec, plan, greedy)
-                for m in (1, 2, 3):
-                    config = SimConfig(prefetch_greedy=greedy, checkpoints_per_slot=m)
-                    tx = transmit_video(trace, sched, spec, plan, config)
-                    ref_counts = np.searchsorted(
-                        ref_times,
-                        (np.arange(trace.n_slots * m + 1) / m + 1e-9) * trace.slot_duration,
-                        side="right",
-                    )
-                    assert tx.completed == ref_done
-                    assert np.array_equal(tx.frames_at_boundary, ref_counts)
-                    assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
+            ref_bits, ref_times, ref_done = reference_transmit(trace, alpha, spec, plan)
+            tx = transmit_video(trace, sched, spec, plan)
+            ref_counts = np.searchsorted(
+                ref_times, (np.arange(trace.n_slots + 1) + 1e-9) * trace.slot_duration, side="right"
+            )
+            assert tx.completed == ref_done
+            assert np.array_equal(tx.frames_at_boundary, ref_counts)
+            assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
 
     def test_violation_agrees(self):
         rng = np.random.default_rng(43)
