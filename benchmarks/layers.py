@@ -18,18 +18,25 @@ optimal-threshold mode, with a = 4.5 for candidate selection. Timed items:
 - ``enumerate``: one whole ``enumerate_candidates``, for reference;
 - ``enumerate_30_seeds``: ``enumerate_candidates`` on each of the stock
   seeds 0-29 in turn (the enumeration that acceptance criteria 4 and 5
-  run), timed as one call; it runs ``SEEDS_REPEATS`` times.
+  run), timed as one call; it runs ``SEEDS_REPEATS`` times;
+- ``oracle``: one ``exhaustive_best_plan`` at the minimum-capacity
+  threshold, a = 0, on the ``oracle-small`` shape of perfbench: 10
+  one-second segments of 4 frames, 4 frames of start-up, the stock
+  ladder's lowest 4 levels, and the 14-slot 1.25 Mbps window of synthetic
+  seed 0. Its node count, simulated sessions (``evaluate`` included) and
+  lookups are recorded next to it (``oracle_*``).
 
 Every other item runs ``--repeats`` times; one repeat calls it ``number`` times
 and records the mean per call. The report gives the median and quartiles
 over the repeats, and the Python and numpy versions. Next to the timings
 it counts the probes of the fit and of the enumerations: ``*_probes`` are
 simulated sessions (every call the planner makes to ``exist_violation``,
-``feasible_arrivals`` or ``transmit_video``), ``*_lookups`` the probes the
-fit answered from the frame deadlines (``LevelFit.lookups``; 0 for a
-version without them). ``seeds_digest`` hashes the 30 seeds' thresholds
-examined and candidates (threshold, plan, and the float hex of σ and ρ),
-so that two versions with the same results show the same digest.
+``feasible_arrivals`` or ``transmit_video``), ``*_lookups`` the probes
+answered from the frame deadlines (calls of the test that
+``planner._suffix_lookup`` builds; 0 for a version without it).
+``seeds_digest`` hashes the 30 seeds' thresholds examined and candidates
+(threshold, plan, and the float hex of σ and ρ), so that two versions
+with the same results show the same digest.
 
 End to end, the script also times whole ``abrplan`` processes
 (``python -m abrplan.cli`` with ``PYTHONPATH`` set to ``--src``), each run
@@ -70,11 +77,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 STOCK_SEED = 0
 STOCK_A = 4.5
 # calls per repeat, chosen so that one repeat of each item takes 10-100 ms
-NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1, "enumerate_30_seeds": 1}
+NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1, "enumerate_30_seeds": 1, "oracle": 4}
 SEEDS = range(30)
 SEEDS_REPEATS = 3
 # the planner's names for a simulated session, where the version has them
 SIMULATED_PROBES = ("exist_violation", "feasible_arrivals", "transmit_video")
+ORACLE_SEED = 0
+ORACLE_WINDOW = (1.25e6, 14)  # mean bits/s, one-second slots
 # whole-process CLI runs (arguments before --out), each run CLI_RUNS times
 CLI_COMMANDS = {
     "plan": ["plan", "--synthetic-seed", "0", "--a", "4.5"],
@@ -144,22 +153,26 @@ def time_item(fn, repeats: int, number: int) -> dict:
     }
 
 
-def count_probes(ap, fn) -> tuple[int, int]:
-    """Simulated and looked-up probes the planner makes while ``fn`` runs."""
+def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int]:
+    """Simulated and looked-up probes the planner makes while ``fn`` runs:
+    its calls to the functions in ``names``, and to the tests that
+    ``_suffix_lookup`` builds."""
     counts = {"simulated": 0, "lookups": 0}
     planner = ap.planner
 
-    def counted(original, key, amount):
+    def counted(key, original):
         def wrapper(*args, **kwargs):
-            result = original(*args, **kwargs)
-            counts[key] += amount(result)
-            return result
+            counts[key] += 1
+            return original(*args, **kwargs)
 
         return wrapper
 
-    patches = [(name, counted(getattr(planner, name), "simulated", lambda _: 1)) for name in SIMULATED_PROBES if hasattr(planner, name)]
-    fit = counted(planner.fit_ascending_levels, "lookups", lambda result: getattr(result, "lookups", 0))
-    patches.append(("fit_ascending_levels", fit))
+    def counted_lookups(build):
+        return lambda *args, **kwargs: counted("lookups", build(*args, **kwargs))
+
+    patches = [(name, counted("simulated", getattr(planner, name))) for name in names if hasattr(planner, name)]
+    if hasattr(planner, "_suffix_lookup"):
+        patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
     originals = [(name, getattr(planner, name)) for name, _ in patches]
     for name, wrapper in patches:
         setattr(planner, name, wrapper)
@@ -196,6 +209,17 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     enumerate_probes, enumerate_lookups = count_probes(ap, lambda: planner.enumerate_candidates(trace, spec))
     fit_probes, fit_lookups = count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec))
     seeds_probes, seeds_lookups = count_probes(ap, lambda: enumerate_seeds(ap, spec, seed_traces))
+
+    stock = ap.default_video_spec()
+    oracle_spec = ap.VideoSpec(10, 4, 4.0, stock.levels[:4], 4)
+    mean_bps, slots = ORACLE_WINDOW
+    oracle_trace = ap.generate_synthetic(ap.SyntheticTraceConfig(mean_bps, slots, seed=ORACLE_SEED))
+    oracle_alpha = min(oracle_trace.capacities)
+
+    def oracle():
+        return planner.exhaustive_best_plan(oracle_trace, oracle_alpha, oracle_spec, 0.0)
+
+    oracle_simulated, oracle_lookups = count_probes(ap, oracle, SIMULATED_PROBES + ("evaluate",))
     counts = {
         "thresholds_examined": examined,
         "candidates": len(candidates),
@@ -210,6 +234,9 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "seeds_probes": seeds_probes,
         "seeds_lookups": seeds_lookups,
         "seeds_digest": hashlib.sha256(repr(seed_results).encode()).hexdigest(),
+        "oracle_nodes": oracle().nodes_visited,
+        "oracle_simulated": oracle_simulated,
+        "oracle_lookups": oracle_lookups,
     }
     items = {
         "probe": lambda: ap.exist_violation(trace, alpha, spec, plan),
@@ -218,6 +245,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "select": lambda: planner.select_candidate(candidates, STOCK_A),
         "load_trace": lambda: ap.load_trace(trace_csv),
         "enumerate": lambda: planner.enumerate_candidates(trace, spec),
+        "oracle": oracle,
     }
     timings = {name: time_item(fn, repeats, NUMBER[name]) for name, fn in items.items()}
     timings["fit_per_probe"] = {

@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 import click
-import jsonschema
 
 from . import __version__
 from .defaults import default_trace_config, default_video_spec
@@ -78,8 +77,16 @@ PLAN_REPORT_SCHEMA = {
         "metadata": {"type": "object"},
     },
 }
-# built once: ``jsonschema.validate`` would check the schema itself on every report
-_PLAN_REPORT_VALIDATOR = jsonschema.Draft202012Validator(PLAN_REPORT_SCHEMA)
+
+
+@functools.cache
+def _plan_report_validator():
+    """Built once, on the first report: ``jsonschema.validate`` would check
+    the schema itself on every report, and importing it costs megabytes."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(PLAN_REPORT_SCHEMA)
+
 
 _CSV_SCHEMAS = {
     "sweep_a": ("a", "alpha_th", "utilization", "quality", "cost"),
@@ -272,7 +279,7 @@ def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, ou
         "bits_used_per_slot": list(outcome.bits_used_per_slot),
         "metadata": {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")},
     }
-    _PLAN_REPORT_VALIDATOR.validate(report)
+    _plan_report_validator().validate(report)
     write_text_atomic(out, json.dumps(report, indent=2) + "\n")
     click.echo(f"alpha_th={result.alpha_th} cost={outcome.cost:.6g} -> {out}")
 

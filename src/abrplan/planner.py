@@ -32,7 +32,7 @@ from .model import (
     compute_utilization,
     make_threshold_schedule,
 )
-from .sim import _EPS, evaluate, exist_violation, feasible_arrivals, run_session, session_length, transmit_video
+from .sim import _EPS, _playback_ramp, evaluate, exist_violation, feasible_arrivals, run_session, session_length, transmit_video
 
 ThresholdMode = Literal["optimal", "invest"]
 
@@ -69,13 +69,13 @@ class Candidate:
     plan: QualityPlan
     sigma: float
     rho: float
-    evaluated_on: tuple = field(default=(), repr=False, compare=False)  # (trace, spec)
+    evaluated_on: tuple = field(default=(), repr=False, compare=False)  # (trace, spec, a)
 
     @cached_property
     def outcome(self) -> SessionOutcome:
-        """The simulated session, with its cost computed at a = 0."""
-        trace, spec = self.evaluated_on
-        return evaluate(trace, self.alpha, spec, self.plan, a=0.0)
+        """The simulated session, with its cost at the a it was evaluated for."""
+        trace, spec, a = self.evaluated_on
+        return evaluate(trace, self.alpha, spec, self.plan, a=a)
 
 
 def invest_threshold(trace: CapacityTrace, step_index: int, quantum_bits: float) -> float:
@@ -137,14 +137,15 @@ class LevelFit:
     lookups: int = 0  # probes answered from the frame deadlines instead of simulated
 
 
-def _suffix_lookup(u, due, curve, cost: float):
-    """``fits(f)``: whether a run of frames f.. at ``cost`` a frame, started
-    in the slot after the arrivals u reach f, has ``due[i]`` frames by each
-    slot boundary i where more than f are due (see ``feasible_arrivals``)."""
+def _suffix_lookup(due, curve, cost: float):
+    """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
+    in the slot after arrivals u reach f, has ``due[i]`` frames by each slot
+    boundary i where more than f are due (see ``feasible_arrivals``); ``due``
+    is the same for every feasible plan at one threshold."""
     # latest[i] + f * cost: the furthest start that keeps up from boundary i on
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
-    def fits(first: int) -> bool:
+    def fits(u, first: int) -> bool:
         k = int(u.searchsorted(first))  # slot the run starts in
         deadline = int(due.searchsorted(first, side="right"))  # of frame ``first``
         return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost + _EPS * cost
@@ -160,9 +161,12 @@ def fit_ascending_levels(
     """Heuristic quality assignment for a fixed threshold.
 
     Starts with every segment at level 1 and, for each higher level in
-    turn, binary-searches the earliest segment from which that level can
-    run to the end of the video without a stall. Cache segments stay at
-    level 1. Infeasible means even the all-level-1 session stalls.
+    turn, binary-searches a segment from which that level can run to the
+    end of the video without a stall. Feasibility is not monotone in that
+    segment, so the start found need not be the earliest: it is feasible,
+    and the segment before it is infeasible or is the search's lower bound
+    (the previous level's start, or the end of the cache). Cache segments
+    stay at level 1. Infeasible means even the all-level-1 session stalls.
 
     A probe at segment ``mid`` (the current plan below it, level s from it
     on) is one lookup: the current plan is feasible, so the probe is
@@ -180,14 +184,14 @@ def fit_ascending_levels(
     # index still names the level
     starts = [0]
     for s in range(2, spec.n_levels + 1):
-        fits = _suffix_lookup(u, due, schedule.cumulative, spec.frame_bits(s) / trace.slot_duration)
+        fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / trace.slot_duration)
         lo = max(starts[-1], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
         while lo <= hi:
             mid = (lo + hi) // 2
             lookups += 1
-            if fits(mid * fps):
+            if fits(u, mid * fps):
                 best = mid
                 hi = mid - 1
             else:
@@ -232,7 +236,7 @@ def enumerate_candidates(
         if not fit.feasible:
             break
         outcome = evaluate(trace, alpha, spec, fit.plan, a=0.0)
-        out.append(Candidate(alpha, fit.plan, outcome.utilization, outcome.quality, (trace, spec)))
+        out.append(Candidate(alpha, fit.plan, outcome.utilization, outcome.quality, (trace, spec, 0.0)))
     return out, examined
 
 
@@ -276,10 +280,11 @@ def plan_session(
 
 
 @dataclass(frozen=True)
-class OracleResult:
-    plan: QualityPlan
-    outcome: SessionOutcome
-    nodes_visited: int
+class OracleResult(Candidate):
+    """The oracle's best plan, scored and simulated on read as a
+    ``Candidate`` is, with the cost of its ``outcome`` at the oracle's a."""
+
+    nodes_visited: int = 0
 
 
 def exhaustive_best_plan(
@@ -297,6 +302,12 @@ def exhaustive_best_plan(
     maximal quality (ties: lower utilization, then lexicographically
     smaller plan), or None when nothing is feasible. Instances whose full
     tree exceeds ``max_nodes`` are refused outright.
+
+    A node keeps or raises its parent's level from its segment on. Kept,
+    it is the parent's plan, which is feasible; raised, it is feasible iff
+    one lookup on the parent's arrivals says so, as in the level fit. Only
+    a raising node with children, and a leaf that may win, is transmitted.
+    Feasible plans all start playback in one slot: one session length.
     """
     n, L = spec.n_segments, spec.n_levels
     n_free = n - spec.cache_segments
@@ -304,56 +315,53 @@ def exhaustive_best_plan(
         raise OracleBudgetError(
             f"(L+1)^segments = {(L + 1) ** n_free} exceeds the {max_nodes} node budget"
         )
-    n_cache = spec.cache_segments
-    best: dict = {"plan": None, "rho": -1.0, "sigma": None}
+    if (session := feasible_arrivals(trace, alpha, spec, QualityPlan.uniform(spec, 1))) is None:
+        return None  # every plan is as heavy as all level 1 or heavier, and switches more
+    u0, due = session
+    schedule = make_threshold_schedule(trace, alpha)
+    fps, dt = spec.frames_per_segment, trace.slot_duration
+    fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, L + 1)}
+    length = session_length(spec, _playback_ramp(u0, spec, dt)[0] * dt, ())
+    best = None  # (rho, sigma, plan) of the best plan so far
     nodes = 0
 
     def consider(plan: QualityPlan) -> None:
+        nonlocal best
         rho = compute_quality(spec, plan)
-        if rho < best["rho"]:
-            return
-        outcome = evaluate(trace, alpha, spec, plan, a=0.0)
-        sigma = outcome.utilization
-        if (
-            best["plan"] is None
-            or rho > best["rho"]
-            or (rho == best["rho"] and sigma < best["sigma"])
-            or (
-                rho == best["rho"]
-                and sigma == best["sigma"]
-                and plan.segment_levels < best["plan"].segment_levels
-            )
+        if best is not None and rho < best[0]:
+            return  # cannot win: skip its transmit
+        sigma = compute_utilization(trace, transmit_video(trace, schedule, spec, plan).bits_used_per_slot, length)
+        if best is None or (-rho, sigma) < (-best[0], best[1]) or (
+            (rho, sigma) == best[:2] and plan.segment_levels < best[2].segment_levels
         ):
-            best.update(plan=plan, rho=rho, sigma=sigma, outcome=outcome)
+            best = rho, sigma, plan
 
-    def dfs(runs: tuple, pos: int, min_level: int) -> None:
-        # runs: the plan's runs below segment pos
+    def dfs(runs: tuple, u, pos: int, min_level: int) -> None:
+        # runs: the plan's runs below segment pos, the last at min_level;
+        # u: the arrivals of that plan run on at min_level to the end
         nonlocal nodes
         for lvl in range(min_level, L + 1):
             nodes += 1
             if nodes > max_nodes:
                 raise OracleBudgetError(f"search exceeded the {max_nodes} node budget")
-            filled = QualityPlan.from_runs(runs + ((pos, lvl),), n)
-            if exist_violation(trace, alpha, spec, filled):
+            if lvl > min_level and not fits[lvl](u, pos * fps):
                 break  # heavier fills only cost more: prune this level and above
             if pos == n - 1:
-                consider(filled)
+                consider(QualityPlan.from_runs(runs + ((pos, lvl),), n))
+            elif lvl == min_level:
+                dfs(runs, u, pos + 1, lvl)
             else:
-                dfs(filled.runs, pos + 1, lvl)
+                filled = QualityPlan.from_runs(runs + ((pos, lvl),), n)
+                dfs(filled.runs, transmit_video(trace, schedule, spec, filled).frames_at_boundary, pos + 1, lvl)
 
     if n_free == 0:
-        plan = QualityPlan.uniform(spec, 1)
-        if exist_violation(trace, alpha, spec, plan):
-            return None
-        consider(plan)
+        consider(QualityPlan.uniform(spec, 1))
     else:
-        dfs(((0, 1),), n_cache, 1)
-    if best["plan"] is None:
+        dfs(((0, 1),), u0, spec.cache_segments, 1)
+    if best is None:
         return None
-    outcome = dataclasses.replace(
-        best["outcome"], cost=compute_cost(best["sigma"], best["rho"], a)
-    )
-    return OracleResult(plan=best["plan"], outcome=outcome, nodes_visited=nodes)
+    rho, sigma, plan = best
+    return OracleResult(alpha, plan, sigma, rho, (trace, spec, a), nodes)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -696,3 +700,14 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert result.output == "abrplan, version 0.1.0\n"
+
+
+def test_import_leaves_jsonschema_unloaded():
+    """The report validator imports ``jsonschema`` when the first plan
+    report is validated, so importing the CLI does not pay for it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, abrplan.cli; assert abrplan.cli.__file__.startswith(sys.argv[1]); print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

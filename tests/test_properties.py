@@ -1,6 +1,7 @@
 """Property-based tests for the structural invariants of the model,
 simulator, and planner (the contracts that hold for any valid input)."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import Phase, assume, example, find, given, settings, strategies
 from abrplan import planner
 from abrplan import (
     CapacityTrace,
+    OracleBudgetError,
     QualityLevel,
     QualityPlan,
     VideoSpec,
     compute_cost,
     compute_quality,
+    evaluate,
     exist_violation,
     fit_ascending_levels,
     invest_threshold,
@@ -326,9 +329,9 @@ def test_fit_matches_list_based_search(trace, spec, alpha):
     def recording_lookup(*args):
         fits = suffix_lookup(*args)
 
-        def recorded(first):
+        def recorded(u, first):
             answered.append(first // spec.frames_per_segment)
-            return fits(first)
+            return fits(u, first)
 
         return recorded
 
@@ -341,13 +344,11 @@ def test_fit_matches_list_based_search(trace, spec, alpha):
 
 
 @st.composite
-def lookup_instances(draw):
-    """(trace, alpha, spec, feasible plan) for the lookup property.
-    Capacities, bitrates and alpha are either arbitrary floats or multiples
-    of 0.1, whose sums tie in exact arithmetic but round apart in floating
-    point, which is what the lookup's _EPS slack is for. The plan is a drawn
-    ascending one if that is feasible, else all level 1; an instance where
-    that stalls too is discarded."""
+def small_instances(draw):
+    """(trace, alpha, spec, ascending plan). Capacities, bitrates and alpha
+    are either arbitrary floats or multiples of 0.1, whose sums tie in exact
+    arithmetic but round apart in floating point, which is what the
+    lookup's _EPS slack is for."""
     grid = draw(st.booleans())
     n_slots = draw(st.integers(2, 12))
     if grid:
@@ -372,7 +373,15 @@ def lookup_instances(draw):
     levels, lvl = [1] * n_segments, 1
     for i in range(spec.cache_segments, n_segments):
         lvl = levels[i] = draw(st.integers(lvl, spec.n_levels))
-    plan = QualityPlan(levels)
+    return trace, alpha, spec, QualityPlan(levels)
+
+
+@st.composite
+def lookup_instances(draw):
+    """(trace, alpha, spec, feasible plan): a small instance with its drawn
+    plan if that is feasible, else all level 1; an instance where that
+    stalls too is discarded."""
+    trace, alpha, spec, plan = draw(small_instances())
     if exist_violation(trace, alpha, spec, plan):
         plan = QualityPlan.uniform(spec, 1)
     assume(not exist_violation(trace, alpha, spec, plan))
@@ -380,21 +389,27 @@ def lookup_instances(draw):
 
 
 def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
-    """The (level, segment) probes where a lookup built as the fit builds
-    it disagrees with exist_violation on the probe's plan: the feasible
-    ``plan`` below the segment, and any level above the plan's level just
-    before the segment from there on."""
-    u, due = feasible_arrivals(trace, alpha, spec, plan)
+    """The (shape, level, segment) probes where a lookup built as the fit
+    and the oracle build it disagrees with exist_violation on the probe's
+    plan: the prefix of the feasible ``plan`` below the segment, then any
+    level above the prefix's last from there on. The lookup reads the
+    arrivals of ``plan`` itself, as the level fit does (shape "fit"), or of
+    the prefix run on at its last level, as the oracle's search does (shape
+    "dfs"; that plan is no heavier and switches no more, so it is feasible
+    too)."""
+    due = feasible_arrivals(trace, alpha, spec, plan)[1]
     curve = make_threshold_schedule(trace, alpha).cumulative
-    levels = plan.segment_levels
+    levels, n = plan.segment_levels, spec.n_segments
+    fits = {s: suffix_lookup(due, curve, spec.frame_bits(s) / trace.slot_duration) for s in range(2, spec.n_levels + 1)}
     out = []
-    for s in range(2, spec.n_levels + 1):
-        fits = suffix_lookup(u, due, curve, spec.frame_bits(s) / trace.slot_duration)
-        for mid in range(spec.cache_segments, spec.n_segments):
-            if levels[mid - 1] < s:
-                probe = QualityPlan(levels[:mid] + (s,) * (spec.n_segments - mid))
-                if fits(mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe):
-                    out.append((s, mid))
+    for mid in range(spec.cache_segments, n):
+        prefix = levels[:mid]
+        for shape, base in (("fit", plan), ("dfs", QualityPlan(prefix + prefix[-1:] * (n - mid)))):
+            u = feasible_arrivals(trace, alpha, spec, base)[0]
+            for s in range(prefix[-1] + 1, spec.n_levels + 1):
+                probe = QualityPlan(prefix + (s,) * (n - mid))
+                if fits[s](u, mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe):
+                    out.append((shape, s, mid))
     return out
 
 
@@ -415,11 +430,11 @@ def test_lookup_matches_simulated_probe(instance):
     assert lookup_mismatches(*instance, planner._suffix_lookup) == []
 
 
-def _lookup_without_eps(u, due, curve, cost):
+def _lookup_without_eps(due, curve, cost):
     """``planner._suffix_lookup`` without the _EPS * cost slack."""
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
-    def fits(first):
+    def fits(u, first):
         k = int(u.searchsorted(first))
         deadline = int(due.searchsorted(first, side="right"))
         return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost
@@ -427,12 +442,12 @@ def _lookup_without_eps(u, due, curve, cost):
     return fits
 
 
-def _lookup_one_slot_early(u, due, curve, cost):
+def _lookup_one_slot_early(due, curve, cost):
     """``planner._suffix_lookup`` with the run starting in the slot where
     the frames before it complete, one slot early."""
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
-    def fits(first):
+    def fits(u, first):
         k = int(u.searchsorted(first)) - 1
         deadline = int(due.searchsorted(first, side="right"))
         return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost + _EPS * cost
@@ -447,3 +462,134 @@ def test_lookup_property_catches_broken_lookups(mutant):
         lambda instance: bool(lookup_mismatches(*instance, mutant)),
         settings=settings(max_examples=3000, derandomize=True, database=None, phases=[Phase.generate]),
     )
+
+
+@FAST
+@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0))
+def test_fit_start_is_feasible_and_locally_earliest(trace, spec, alpha):
+    """What the level fit's binary search guarantees. Feasibility is not
+    monotone in a level's start segment, so the start it returns need not
+    be the earliest. It is feasible, and the segment before it is
+    infeasible or is the search's lower bound: the previous level's start,
+    or the end of the cache. A level placed nowhere is infeasible from the
+    last segment, unless the search had no segment to try."""
+    fit = fit_ascending_levels(trace, alpha, spec)
+    if not fit.feasible:
+        return
+    levels, n = fit.plan.segment_levels, spec.n_segments
+
+    def stalls(s, start):  # the fit's probe: the plan below start, level s from it
+        return exist_violation(trace, alpha, spec, QualityPlan(levels[:start] + (s,) * (n - start)))
+
+    previous = 0
+    for s in range(2, spec.n_levels + 1):
+        start = next((i for i, v in enumerate(levels) if v >= s), n)
+        assert start == n or not stalls(s, start)
+        assert start == max(previous, spec.cache_segments) or stalls(s, start - 1)
+        if start == n:
+            break  # heavier levels are not searched
+        previous = start
+
+
+@settings(max_examples=300, deadline=None)
+@given(lookup_instances())
+def test_feasible_plans_share_the_start_up_and_deadlines(instance):
+    """What one deadline lookup per probe, in the level fit and in the
+    oracle, and the oracle's one session length rest on: at one threshold,
+    a feasible ascending plan starts playback at the checkpoint of the
+    all-level-1 plan, which is feasible too, and has the same due frames.
+    The cache segments are pinned at level 1 and sent greedily."""
+    trace, alpha, spec, plan = instance
+    lowest = QualityPlan.uniform(spec, 1)
+    assert np.array_equal(feasible_arrivals(trace, alpha, spec, plan)[1], feasible_arrivals(trace, alpha, spec, lowest)[1])
+    startup = run_session(trace, alpha, spec, plan).trajectory.startup_checkpoint
+    assert startup == run_session(trace, alpha, spec, lowest).trajectory.startup_checkpoint
+
+
+@FAST
+@given(traces(), specs())
+def test_all_level_1_feasibility_is_monotone_in_alpha(trace, spec):
+    """The enumeration's stop rule: once the all-level-1 plan stalls at a
+    threshold, it stalls at every higher one, so no feasible candidate lies
+    past the first threshold where it stalls."""
+    lowest = QualityPlan.uniform(spec, 1)
+    feasible = [not exist_violation(trace, alpha, spec, lowest) for alpha in planner.optimal_threshold_candidates(trace)]
+    assert feasible == sorted(feasible, reverse=True)
+
+
+def simulated_oracle(trace, alpha, spec, a, max_nodes):
+    """The exhaustive search with a simulated session at every node: each
+    node's plan is checked with ``exist_violation`` and each leaf that may
+    win is scored with ``evaluate``. Returns (levels, nodes visited, and
+    the float hex of σ, ρ and the cost at a), None, or the refusal."""
+    n, L = spec.n_segments, spec.n_levels
+    n_free = n - spec.cache_segments
+    if (L + 1) ** n_free > max_nodes:
+        return "refused"
+    best, nodes = None, 0
+
+    def consider(levels):
+        nonlocal best
+        rho = compute_quality(spec, QualityPlan(levels))
+        if best is not None and rho < best[1]:
+            return
+        sigma = evaluate(trace, alpha, spec, QualityPlan(levels), a=0.0).utilization
+        if best is None or (-rho, sigma, levels) < (-best[1], best[0], best[2]):
+            best = sigma, rho, levels
+
+    def dfs(prefix, min_level):
+        nonlocal nodes
+        for lvl in range(min_level, L + 1):
+            nodes += 1
+            filled = prefix + (lvl,) * (n - len(prefix))
+            if exist_violation(trace, alpha, spec, QualityPlan(filled)):
+                break
+            if len(prefix) == n - 1:
+                consider(filled)
+            else:
+                dfs(prefix + (lvl,), lvl)
+
+    if n_free == 0:
+        if not exist_violation(trace, alpha, spec, QualityPlan.uniform(spec, 1)):
+            consider((1,) * n)
+    else:
+        dfs((1,) * spec.cache_segments, 1)
+    if best is None:
+        return None
+    sigma, rho, levels = best
+    return levels, nodes, sigma.hex(), rho.hex(), compute_cost(sigma, rho, a).hex()
+
+
+@st.composite
+def oracle_instances(draw):
+    """(trace, alpha, spec, max_nodes): a small instance, its window often
+    repeated and its start-up cache often cut to one segment so that more
+    instances are feasible and more segments are searched, and a node
+    budget that is the oracle's bound or, now and then, one below it."""
+    trace, alpha, spec, _ = draw(small_instances())
+    trace = CapacityTrace(trace.slot_duration, trace.capacities * draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        spec = dataclasses.replace(spec, prefetch_frames=min(spec.prefetch_frames, spec.frames_per_segment))
+    max_nodes = (spec.n_levels + 1) ** (spec.n_segments - spec.cache_segments) - (draw(st.integers(0, 4)) == 3)
+    return trace, alpha, spec, max_nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_instances(), st.sampled_from([0.0, 1.5]))
+def test_oracle_matches_simulated_search(instance, a):
+    """The oracle, which answers its nodes by deadline lookups, finds the
+    plan, node count, σ, ρ and cost of a search that simulates every node,
+    and returns None or refuses exactly when it does."""
+    trace, alpha, spec, max_nodes = instance
+    want = simulated_oracle(trace, alpha, spec, a, max_nodes)
+    try:
+        res = planner.exhaustive_best_plan(trace, alpha, spec, a, max_nodes)
+    except OracleBudgetError:
+        assert want == "refused"
+        return
+    got = None if res is None else (
+        res.plan.segment_levels, res.nodes_visited, res.sigma.hex(), res.rho.hex(), res.outcome.cost.hex()
+    )
+    assert got == want
+    if res is not None:
+        assert (res.outcome.utilization, res.outcome.quality) == (res.sigma, res.rho)
