@@ -281,21 +281,12 @@ def _running_sum(rates: np.ndarray) -> np.ndarray:
 
 def make_threshold_schedule(trace: CapacityTrace, alpha: float) -> ThresholdSchedule:
     """Build the threshold schedule for ``alpha``: r_k = c_k if c_k >= alpha
-    else 0.
-
-    The trace keeps the last schedule built for it, so the many probes made
-    at one threshold share one schedule and its cached arrays.
-    """
+    else 0."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    last = vars(trace).get("_last_schedule")
-    if last is not None and last.alpha == alpha:
-        return last
     c = trace.as_array
     rates = np.where(c >= alpha, c, 0.0)
-    schedule = ThresholdSchedule(alpha=float(alpha), per_slot_rate=tuple(rates.tolist()))
-    vars(trace)["_last_schedule"] = schedule
-    return schedule
+    return ThresholdSchedule(alpha=float(alpha), per_slot_rate=tuple(rates.tolist()))
 
 
 @dataclass(frozen=True)

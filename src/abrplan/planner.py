@@ -32,7 +32,8 @@ from .model import (
     compute_utilization,
     make_threshold_schedule,
 )
-from .sim import _EPS, _playback_ramp, evaluate, exist_violation, feasible_arrivals, run_session, session_length, transmit_video
+# exist_violation and evaluate stay importable from here: perfbench's tracer patches these names
+from .sim import _EPS, _playback_ramp, deadline_check, evaluate, exist_violation, run_session, session_length, transmit_video
 
 ThresholdMode = Literal["optimal", "invest"]
 
@@ -140,7 +141,7 @@ class LevelFit:
 def _suffix_lookup(due, curve, cost: float):
     """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
     in the slot after arrivals u reach f, has ``due[i]`` frames by each slot
-    boundary i where more than f are due (see ``feasible_arrivals``); ``due``
+    boundary i where more than f are due (see ``deadline_check``); ``due``
     is the same for every feasible plan at one threshold."""
     # latest[i] + f * cost: the furthest start that keeps up from boundary i on
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
@@ -170,21 +171,24 @@ def fit_ascending_levels(
 
     A probe at segment ``mid`` (the current plan below it, level s from it
     on) is one lookup: the current plan is feasible, so the probe is
-    feasible iff its level-s run meets its frames' deadlines.
+    feasible iff its level-s run meets its frames' deadlines. The fit
+    transmits the all-level-1 plan and the plan after each placement, and
+    its verdict is ``deadline_check`` on the last of these transmits.
     """
-    n, fps = spec.n_segments, spec.frames_per_segment
+    n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
+    schedule = make_threshold_schedule(trace, alpha)
     plan = QualityPlan.uniform(spec, 1)
-    if (session := feasible_arrivals(trace, alpha, spec, plan)) is None:
+    tx = transmit_video(trace, schedule, spec, plan)
+    if (session := deadline_check(tx, spec, dt)) is None:
         return LevelFit(False, plan)
     u, due = session
-    schedule = make_threshold_schedule(trace, alpha)
     lookups = 0
     # starts[j] is the first segment at level j + 1; a level that a later
     # one covers entirely keeps its entry, with an empty run, so that the
     # index still names the level
     starts = [0]
     for s in range(2, spec.n_levels + 1):
-        fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / trace.slot_duration)
+        fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt)
         lo = max(starts[-1], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
@@ -200,10 +204,9 @@ def fit_ascending_levels(
             break  # level s placed nowhere; heavier levels cannot fit either
         starts.append(best)
         plan = QualityPlan.from_runs([(start, j + 1) for j, start in enumerate(starts)], n)
-        if s < spec.n_levels:  # the arrivals of the plan the next level's probes extend
-            u = transmit_video(trace, schedule, spec, plan).frames_at_boundary
-    feasible = not exist_violation(trace, alpha, spec, plan)
-    return LevelFit(feasible, plan, lookups)
+        tx = transmit_video(trace, schedule, spec, plan)
+        u = tx.frames_at_boundary  # the arrivals of the plan the next level's probes extend
+    return LevelFit(deadline_check(tx, spec, dt) is not None, plan, lookups)
 
 
 def enumerate_candidates(
@@ -300,8 +303,10 @@ def exhaustive_best_plan(
     level 1, children never below their parent), pruning any prefix whose
     cheapest completion already stalls. Returns the feasible plan with
     maximal quality (ties: lower utilization, then lexicographically
-    smaller plan), or None when nothing is feasible. Instances whose full
-    tree exceeds ``max_nodes`` are refused outright.
+    smaller plan), or None when nothing is feasible. With ``free`` segments
+    after the cache, the instance is refused outright when (L+1)^free exceeds
+    ``max_nodes``; else the search keeps to the budget, as it visits at most
+    the C(free+L, L) - 1 < (L+1)^free ascending prefixes.
 
     A node keeps or raises its parent's level from its segment on. Kept,
     it is the parent's plan, which is feasible; raised, it is feasible iff
@@ -315,11 +320,11 @@ def exhaustive_best_plan(
         raise OracleBudgetError(
             f"(L+1)^segments = {(L + 1) ** n_free} exceeds the {max_nodes} node budget"
         )
-    if (session := feasible_arrivals(trace, alpha, spec, QualityPlan.uniform(spec, 1))) is None:
+    fps, dt = spec.frames_per_segment, trace.slot_duration
+    schedule = make_threshold_schedule(trace, alpha)
+    if (session := deadline_check(transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)), spec, dt)) is None:
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
     u0, due = session
-    schedule = make_threshold_schedule(trace, alpha)
-    fps, dt = spec.frames_per_segment, trace.slot_duration
     fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, L + 1)}
     length = session_length(spec, _playback_ramp(u0, spec, dt)[0] * dt, ())
     best = None  # (rho, sigma, plan) of the best plan so far
@@ -342,8 +347,6 @@ def exhaustive_best_plan(
         nonlocal nodes
         for lvl in range(min_level, L + 1):
             nodes += 1
-            if nodes > max_nodes:
-                raise OracleBudgetError(f"search exceeded the {max_nodes} node budget")
             if lvl > min_level and not fits[lvl](u, pos * fps):
                 break  # heavier fills only cost more: prune this level and above
             if pos == n - 1:

@@ -143,10 +143,6 @@ class Trajectory:
     stall_events: tuple[tuple[int, float], ...]  # (checkpoint, seconds stalled)
     checkpoint_dt: float
 
-    @property
-    def stalled(self) -> bool:
-        return len(self.stall_events) > 0
-
 
 def _playback_ramp(u: np.ndarray, spec: VideoSpec, cdt: float):
     """Start-up checkpoint and the playback curve l while nothing stalls.
@@ -216,16 +212,10 @@ def run_session(
     spec: VideoSpec,
     plan: QualityPlan,
 ) -> SessionRun:
-    schedule = make_threshold_schedule(trace, alpha)
-    tx = transmit_video(trace, schedule, spec, plan)
-    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, trace.slot_duration)
-    violation = (
-        not tx.completed
-        or traj.startup_checkpoint is None
-        or traj.stalled
-        or traj.watched[-1] < spec.total_frames - _EPS
-    )
-    return SessionRun(transmit=tx, trajectory=traj, violation=violation)
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+    dt = trace.slot_duration
+    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt)
+    return SessionRun(transmit=tx, trajectory=traj, violation=deadline_check(tx, spec, dt) is None)
 
 
 @lru_cache(maxsize=16)
@@ -236,29 +226,33 @@ def _frame_marks(total: int) -> np.ndarray:
     return marks
 
 
+def deadline_check(tx: TransmitResult, spec: VideoSpec, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The stall check: arrivals u and due frames of a transmit that
+    delivers and plays out the whole video without a stall, else None.
+    due[i] counts the frames g with g + _EPS below the playback ramp at
+    checkpoint i, so frame g's deadline is the first checkpoint where due
+    exceeds g, and the session stalls iff u falls below due. due is the same
+    for every plan at one threshold: the start-up checkpoint depends only on
+    the cache segments, which stay at level 1."""
+    if not tx.completed:
+        return None
+    u = tx.frames_at_boundary
+    startup, ramp = _playback_ramp(u, spec, dt)
+    if startup is None or ramp[-1] < spec.total_frames - _EPS:
+        return None  # playback never starts, or the window ends before it finishes
+    due = _frame_marks(spec.total_frames).searchsorted(ramp)
+    return None if (u < due).any() else (u, due)
+
+
 def feasible_arrivals(
     trace: CapacityTrace,
     alpha: float,
     spec: VideoSpec,
     plan: QualityPlan,
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Arrivals u and due frames of a session that delivers and plays out
-    the whole video without a stall, else None. due[i] counts the frames g
-    with g + _EPS below the playback ramp at checkpoint i, so frame g's
-    deadline is the first checkpoint where due exceeds g, and the session
-    stalls iff u falls below due. due is the same for every plan at one
-    threshold: the start-up checkpoint depends only on the cache segments,
-    which stay at level 1."""
-    schedule = make_threshold_schedule(trace, alpha)
-    tx = transmit_video(trace, schedule, spec, plan)
-    if not tx.completed:
-        return None
-    u = tx.frames_at_boundary
-    startup, ramp = _playback_ramp(u, spec, trace.slot_duration)
-    if startup is None or ramp[-1] < spec.total_frames - _EPS:
-        return None  # playback never starts, or the window ends before it finishes
-    due = _frame_marks(spec.total_frames).searchsorted(ramp)
-    return None if (u < due).any() else (u, due)
+    """``deadline_check`` on the session of ``plan`` at threshold ``alpha``."""
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+    return deadline_check(tx, spec, trace.slot_duration)
 
 
 def exist_violation(

@@ -291,6 +291,26 @@ def test_exist_violation_same_for_both_constructions(trace, spec_plan, alpha):
     assert exist_violation(trace, alpha, spec, from_levels) == exist_violation(trace, alpha, spec, from_runs)
 
 
+@settings(max_examples=1000, deadline=None)
+@given(traces(), specs_with_plans(), st.floats(0.0, 30.0))
+def test_trajectory_agrees_with_the_stall_check(trace, spec_plan, alpha):
+    """The simulated trajectory stalls or falls short exactly when the
+    deadline check says the session is infeasible. A check that lets u
+    lag ``due`` by one frame disagrees on about 1% of such instances, so
+    this runs more examples than FAST."""
+    spec, plan = spec_plan
+    run = run_session(trace, alpha, spec, plan)
+    traj = run.trajectory
+    from_trajectory = (
+        not run.transmit.completed
+        or traj.startup_checkpoint is None
+        or len(traj.stall_events) > 0
+        or traj.watched[-1] < spec.total_frames - 1e-9
+    )
+    assert type(run.violation) is bool
+    assert run.violation == exist_violation(trace, alpha, spec, plan) == from_trajectory
+
+
 def list_based_fit(trace, alpha, spec):
     """The level fit over a per-segment list, as a plain binary search of
     simulated probes: returns (feasible, levels, the segment ``mid`` of
@@ -593,3 +613,5 @@ def test_oracle_matches_simulated_search(instance, a):
     assert got == want
     if res is not None:
         assert (res.outcome.utilization, res.outcome.quality) == (res.sigma, res.rho)
+        # ascending prefixes only: the search keeps within the up-front refusal's bound
+        assert res.nodes_visited < (spec.n_levels + 1) ** (spec.n_segments - spec.cache_segments)
