@@ -30,7 +30,6 @@ from .model import (
 )
 from .planner import (
     Candidate,
-    InvestConfig,
     OracleResult,
     PartitionedPlan,
     PlanResult,
@@ -47,7 +46,7 @@ from .planner import (
     relative_performance_error,
     select_candidate,
 )
-from .sim import evaluate, exist_violation, run_session, transmit_video
+from .sim import evaluate, exist_violation, transmit_video
 from .traces import (
     ColumnMap,
     RawBandwidthLog,

@@ -24,7 +24,6 @@ from .defaults import default_trace_config, default_video_spec
 from .errors import AbrPlanError, NoFeasibleSessionError
 from .model import CapacityTrace, QualityLevel, VideoSpec, compute_cost
 from .planner import (
-    InvestConfig,
     StallPolicy,
     enumerate_candidates,
     plan_session,
@@ -171,11 +170,12 @@ def _slot_factor(slot_period, slot_duration) -> int:
 
 
 def _invest_config(mode, quantum_q):
+    """The invest ladder's quantum in bits, or None for every distinct capacity."""
     if mode != "invest":
         return None
     if quantum_q is None:
         raise click.UsageError("--mode invest requires --quantum-q")
-    return InvestConfig(quantum_bits=quantum_q)
+    return quantum_q
 
 
 def _write_csv(path, name: str, rows: list[dict]) -> None:
@@ -255,7 +255,7 @@ def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, ou
     minimum-threshold benchmark for comparison)."""
     spec = _resolve_video(video)
     trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    result = plan_session(trace, spec, a_value, mode, _invest_config(mode, quantum_q))
+    result = plan_session(trace, spec, a_value, _invest_config(mode, quantum_q))
     outcome, bench = result.outcome, result.benchmark
     report = {
         "schema": f"abrplan.plan/{SCHEMA_VERSION}",
@@ -294,7 +294,7 @@ def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period,
         raise click.UsageError("at least one --a value is required")
     spec = _resolve_video(video)
     trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    candidates, _ = enumerate_candidates(trace, spec, mode, _invest_config(mode, quantum_q))
+    candidates, _ = enumerate_candidates(trace, spec, _invest_config(mode, quantum_q))
     rows = []
     for a in a_values:
         best = select_candidate(candidates, a)
@@ -331,8 +331,8 @@ def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
     objective before and after."""
     spec = _resolve_video(video)
     trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    invest = _invest_config(mode, quantum_q)
-    cost_before = plan_session(trace, spec, a_value, mode, invest).outcome.cost
+    quantum = _invest_config(mode, quantum_q)
+    cost_before = plan_session(trace, spec, a_value, quantum).outcome.cost
     rows = []
     for seg in range(2, spec.n_segments + 1, stride):
         row = {
@@ -343,9 +343,7 @@ def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
             "feasible": False,
         }
         try:
-            split = plan_with_stalls(
-                trace, spec, a_value, StallPolicy(1, (seg,)), mode, invest
-            )
+            split = plan_with_stalls(trace, spec, a_value, StallPolicy(1, (seg,)), quantum)
         except AbrPlanError:
             rows.append(row)
             continue
@@ -367,7 +365,7 @@ def cmd_robustness(video, mode, quantum_q, slot_period, out, a_value, trace_dir)
     """Plan on the mean of all realizations, evaluate that plan on each
     realization, and report the relative performance errors."""
     spec = _resolve_video(video)
-    invest = _invest_config(mode, quantum_q)
+    quantum = _invest_config(mode, quantum_q)
     files = sorted(Path(trace_dir).glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no realization CSVs found in {trace_dir}")
@@ -380,7 +378,7 @@ def cmd_robustness(video, mode, quantum_q, slot_period, out, a_value, trace_dir)
         factor = _slot_factor(slot_period, base_trace.slot_duration)
         base_trace = coarsen(base_trace, factor)
         realizations = [coarsen(t, factor) for t in realizations]
-    result = plan_session(base_trace, spec, a_value, mode, invest)
+    result = plan_session(base_trace, spec, a_value, quantum)
     rows = []
     for f, real in zip(files, realizations):
         row = {
@@ -412,10 +410,9 @@ def _bench_cell(args):
     mode. A window the planner cannot stream gives ``None`` scores."""
     spec, factor, quantum, seed, a_value = args
     trace = coarsen(generate_synthetic(default_trace_config(seed)), factor)
-    invest = None if quantum is None else InvestConfig(quantum_bits=quantum)
     t0 = time.perf_counter()
     try:
-        result = plan_session(trace, spec, a_value, "optimal" if invest is None else "invest", invest)
+        result = plan_session(trace, spec, a_value, quantum)
     except AbrPlanError:
         return (time.perf_counter() - t0, None, None, None)
     runtime = time.perf_counter() - t0

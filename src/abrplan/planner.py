@@ -17,7 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,21 +33,9 @@ from .model import (
     make_threshold_schedule,
 )
 # exist_violation and evaluate stay importable from here: perfbench's tracer patches these names
-from .sim import _EPS, _playback_ramp, deadline_check, evaluate, exist_violation, run_session, session_length, transmit_video
-
-ThresholdMode = Literal["optimal", "invest"]
-
-
-@dataclass(frozen=True)
-class InvestConfig:
-    """Step configuration for the variable-footstep threshold ladder:
-    each step abandons roughly ``quantum_bits`` of window volume."""
-
-    quantum_bits: float
-
-    def __post_init__(self):
-        if not 0 < self.quantum_bits < math.inf:  # also rejects nan
-            raise ValueError(f"quantum_bits must be positive and finite, got {self.quantum_bits}")
+from .sim import (
+    _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, evaluate, exist_violation, session_length, transmit_video
+)
 
 
 @dataclass(frozen=True)
@@ -89,8 +77,8 @@ def invest_threshold(trace: CapacityTrace, step_index: int, quantum_bits: float)
     """
     if step_index < 1:
         raise ValueError("step_index must be >= 1")
-    if quantum_bits <= 0:
-        raise ValueError("quantum_bits must be positive")
+    if not 0 < quantum_bits < math.inf:  # also rejects nan
+        raise ValueError(f"quantum_bits must be positive and finite, got {quantum_bits}")
     sorted_c = np.sort(trace.as_array)
     cum = np.cumsum(sorted_c * trace.slot_duration)
     ind = int(np.searchsorted(cum, step_index * quantum_bits, side="right")) - 1
@@ -107,6 +95,8 @@ def invest_threshold_candidates(trace: CapacityTrace, quantum_bits: float) -> li
     capacity, then the threshold after each further quantum, duplicates
     skipped. Steps between the same two cumulative volumes share one
     threshold, so the walk jumps volume to volume: at most one per slot."""
+    if not 0 < quantum_bits < math.inf:  # also rejects nan
+        raise ValueError(f"quantum_bits must be positive and finite, got {quantum_bits}")
     sorted_c = np.sort(trace.as_array)
     cum = np.cumsum(sorted_c * trace.slot_duration)
     total = float(np.sum(trace.as_array) * trace.slot_duration)
@@ -212,25 +202,22 @@ def fit_ascending_levels(
 def enumerate_candidates(
     trace: CapacityTrace,
     spec: VideoSpec,
-    mode: ThresholdMode = "optimal",
-    invest: Optional[InvestConfig] = None,
+    quantum_bits: Optional[float] = None,
 ) -> tuple[list[Candidate], int]:
     """Walk the threshold ladder from the bottom, fitting a plan to each
     candidate, stopping at the first threshold where even the lowest
-    quality stalls. Returns the feasible candidates (ascending threshold)
+    quality stalls. The ladder is every distinct capacity, or with
+    ``quantum_bits`` the variable-footstep ladder that abandons that many
+    bits per step. Returns the feasible candidates (ascending threshold)
     and the number of thresholds examined."""
     if spec.total_frames / spec.frame_rate > trace.window_length:
         raise NoFeasibleSessionError(
             "capacity window is shorter than the video playback time"
         )
-    if mode == "invest":
-        if invest is None:
-            raise ValueError("invest mode requires an InvestConfig")
-        alphas = invest_threshold_candidates(trace, invest.quantum_bits)
-    elif mode == "optimal":
+    if quantum_bits is None:
         alphas = optimal_threshold_candidates(trace)
     else:
-        raise ValueError(f"unknown threshold mode {mode!r}")
+        alphas = invest_threshold_candidates(trace, quantum_bits)
     out: list[Candidate] = []
     examined = 0
     for alpha in alphas:
@@ -264,13 +251,12 @@ def plan_session(
     trace: CapacityTrace,
     spec: VideoSpec,
     a: float,
-    mode: ThresholdMode = "optimal",
-    invest: Optional[InvestConfig] = None,
+    quantum_bits: Optional[float] = None,
 ) -> PlanResult:
     """End-to-end planning: enumerate thresholds, fit plans, pick the
     cost-minimizing candidate. Raises NoFeasibleSessionError when even the
     lowest-quality session at the minimum capacity threshold stalls."""
-    candidates, examined = enumerate_candidates(trace, spec, mode, invest)
+    candidates, examined = enumerate_candidates(trace, spec, quantum_bits)
     best = select_candidate(candidates, a)
     outcome = dataclasses.replace(best.outcome, cost=compute_cost(best.sigma, best.rho, a))
     return PlanResult(
@@ -394,8 +380,8 @@ class StallPolicy:
 def detect_stall_segments(trace: CapacityTrace, spec: VideoSpec, k: int) -> tuple[int, ...]:
     """Segments where stalls occur under lowest quality at full
     utilization (threshold 0, i.e. greedy transmission)."""
-    run = run_session(trace, 0.0, spec, QualityPlan.uniform(spec, 1))
-    traj = run.trajectory
+    tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, QualityPlan.uniform(spec, 1))
+    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, trace.slot_duration)
     cuts = []
     for cp, _ in traj.stall_events[:k]:
         seg = int(traj.watched[cp] // spec.frames_per_segment) + 1
@@ -427,8 +413,7 @@ def plan_with_stalls(
     spec: VideoSpec,
     a: float,
     policy: StallPolicy,
-    mode: ThresholdMode = "optimal",
-    invest: Optional[InvestConfig] = None,
+    quantum_bits: Optional[float] = None,
 ) -> PartitionedPlan:
     """Split the video at the stall segments into independent sessions,
     plan each on its remaining capacity window, and rescore utilization,
@@ -460,7 +445,7 @@ def plan_with_stalls(
             raise InfeasiblePartError(idx, f"no capacity window left for part {idx}")
         part_trace = trace.tail(offset)
         try:
-            result = plan_session(part_trace, part_spec, a, mode, invest)
+            result = plan_session(part_trace, part_spec, a, quantum_bits)
         except NoFeasibleSessionError as exc:
             raise InfeasiblePartError(idx, f"part {idx} (segments {seg_lo}..{seg_hi - 1}): {exc}") from exc
         parts.append(result)

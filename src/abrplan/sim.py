@@ -137,11 +137,9 @@ def transmit_video(
 
 @dataclass(frozen=True)
 class Trajectory:
-    arrived: np.ndarray  # u at each checkpoint (slot boundary)
-    watched: np.ndarray  # l at each checkpoint
+    watched: np.ndarray  # l at each checkpoint (slot boundary)
     startup_checkpoint: Optional[int]
     stall_events: tuple[tuple[int, float], ...]  # (checkpoint, seconds stalled)
-    checkpoint_dt: float
 
 
 def _playback_ramp(u: np.ndarray, spec: VideoSpec, cdt: float):
@@ -166,7 +164,7 @@ def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Traje
     overtake the arrivals u."""
     startup, ramp = _playback_ramp(u, spec, cdt)
     if startup is None:
-        return Trajectory(u, np.zeros_like(u), None, (), cdt)
+        return Trajectory(np.zeros_like(u), None, ())
     watched = np.minimum(np.maximum(ramp, 0.0), u)
     stalls: list[list] = []  # [checkpoint, seconds]
     # l only deviates from the ramp from the first stall on
@@ -194,28 +192,7 @@ def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Traje
             watched[i:] = total
             break
     events = tuple((int(cp), float(sec)) for cp, sec in stalls)
-    return Trajectory(u, watched, startup, events, cdt)
-
-
-@dataclass(frozen=True)
-class SessionRun:
-    """One full simulated session: transmission plus playback."""
-
-    transmit: TransmitResult
-    trajectory: Trajectory
-    violation: bool
-
-
-def run_session(
-    trace: CapacityTrace,
-    alpha: float,
-    spec: VideoSpec,
-    plan: QualityPlan,
-) -> SessionRun:
-    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
-    dt = trace.slot_duration
-    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt)
-    return SessionRun(transmit=tx, trajectory=traj, violation=deadline_check(tx, spec, dt) is None)
+    return Trajectory(watched, startup, events)
 
 
 @lru_cache(maxsize=16)
@@ -244,17 +221,6 @@ def deadline_check(tx: TransmitResult, spec: VideoSpec, dt: float) -> Optional[t
     return None if (u < due).any() else (u, due)
 
 
-def feasible_arrivals(
-    trace: CapacityTrace,
-    alpha: float,
-    spec: VideoSpec,
-    plan: QualityPlan,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``deadline_check`` on the session of ``plan`` at threshold ``alpha``."""
-    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
-    return deadline_check(tx, spec, trace.slot_duration)
-
-
 def exist_violation(
     trace: CapacityTrace,
     alpha: float,
@@ -263,7 +229,8 @@ def exist_violation(
 ) -> bool:
     """True iff the session stalls or does not deliver and play out the
     whole video within the window."""
-    return feasible_arrivals(trace, alpha, spec, plan) is None
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+    return deadline_check(tx, spec, trace.slot_duration) is None
 
 
 def session_length(spec: VideoSpec, startup_delay: float, stall_events) -> float:
@@ -286,24 +253,26 @@ def evaluate(
     InfeasiblePlanError. With ``strict=False`` the outcome is returned
     with the stall events recorded (used for robustness studies).
     """
-    run = run_session(trace, alpha, spec, plan)
-    if strict and run.violation:
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+    dt = trace.slot_duration
+    if strict and deadline_check(tx, spec, dt) is None:
         raise InfeasiblePlanError(
             f"session infeasible at alpha={alpha}: "
-            + ("incomplete delivery" if not run.transmit.completed else "playback stalled")
+            + ("incomplete delivery" if not tx.completed else "playback stalled")
         )
-    traj = run.trajectory
+    u = tx.frames_at_boundary.astype(float)
+    traj = _trajectory_from_counts(u, spec, dt)
     if traj.startup_checkpoint is None:
         raise InfeasiblePlanError("playback never started within the window")
-    length = session_length(spec, traj.startup_checkpoint * traj.checkpoint_dt, traj.stall_events)
-    sigma = compute_utilization(trace, run.transmit.bits_used_per_slot, length)
+    length = session_length(spec, traj.startup_checkpoint * dt, traj.stall_events)
+    sigma = compute_utilization(trace, tx.bits_used_per_slot, length)
     rho = compute_quality(spec, plan)
     return SessionOutcome(
-        arrived_frames=tuple(traj.arrived.tolist()),
+        arrived_frames=tuple(u.tolist()),
         watched_frames=tuple(traj.watched.tolist()),
         startup_slot=traj.startup_checkpoint,
         stall_events=traj.stall_events,
-        bits_used_per_slot=tuple(run.transmit.bits_used_per_slot.tolist()),
+        bits_used_per_slot=tuple(tx.bits_used_per_slot.tolist()),
         utilization=sigma,
         quality=rho,
         cost=compute_cost(sigma, rho, a),

@@ -13,13 +13,13 @@ from click.testing import CliRunner
 import abrplan as ap
 from abrplan import (
     CapacityTrace,
-    InvestConfig,
     QualityLevel,
     QualityPlan,
     StallPolicy,
     VideoSpec,
 )
 from abrplan.cli import main as cli_main
+from abrplan.sim import _trajectory_from_counts, deadline_check
 
 from reference import random_small_instance
 
@@ -92,8 +92,8 @@ def test_criterion_2_structural_properties():
         cache = spec.cache_segments
         assert np.all(levels[:cache] == 1) and np.all(np.diff(levels[cache:]) >= 0)
 
-        run = ap.run_session(trace, alpha, spec, fit.plan)
-        tx = run.transmit
+        dt = trace.slot_duration
+        tx = ap.transmit_video(trace, sched, spec, fit.plan)
         delivered = int(tx.frames_at_boundary[-1])
         cost_sum = sum(
             spec.frame_bits(fit.plan.segment_levels[f // spec.frames_per_segment])
@@ -104,13 +104,14 @@ def test_criterion_2_structural_properties():
         if tx.completed:
             assert abs(sent - cost_sum) < 1e-6
 
-        traj = run.trajectory
-        assert np.all(traj.arrived >= traj.watched - 1e-9)
+        u = tx.frames_at_boundary.astype(float)
+        traj = _trajectory_from_counts(u, spec, dt)
+        assert np.all(u >= traj.watched - 1e-9)
         if traj.startup_checkpoint is not None:
             ramp = np.clip(
-                (np.arange(traj.arrived.shape[0]) - traj.startup_checkpoint)
+                (np.arange(u.shape[0]) - traj.startup_checkpoint)
                 * spec.frame_rate
-                * traj.checkpoint_dt,
+                * dt,
                 0.0,
                 float(spec.total_frames),
             )
@@ -118,9 +119,9 @@ def test_criterion_2_structural_properties():
             assert (len(traj.stall_events) == 0) == on_ramp
 
         if i % 10 == 0:
-            again = ap.run_session(trace, alpha, spec, fit.plan)
-            assert np.array_equal(again.transmit.bits_used_per_slot, tx.bits_used_per_slot)
-            assert again.violation == run.violation
+            again = ap.transmit_video(trace, ap.make_threshold_schedule(trace, alpha), spec, fit.plan)
+            assert np.array_equal(again.bits_used_per_slot, tx.bits_used_per_slot)
+            assert (deadline_check(again, spec, dt) is None) == (deadline_check(tx, spec, dt) is None)
         cases += 1
     elapsed = time.perf_counter() - t0
     assert cases >= 1000
@@ -217,9 +218,7 @@ def test_criterion_5_quantum_ladder_accuracy():
             assert deviation <= 0.16
     # spot-check the subset construction against the planner entry point
     trace, candidates = table_instances()[0]
-    direct = ap.plan_session(
-        trace, ap.default_video_spec(), a, mode="invest", invest=InvestConfig(2e6)
-    )
+    direct = ap.plan_session(trace, ap.default_video_spec(), a, quantum_bits=2e6)
     ladder = ap.invest_threshold_candidates(trace, 2e6)
     by_alpha = {c.alpha: c for c in candidates}
     expected = ap.select_candidate([by_alpha[x] for x in ladder if x in by_alpha], a)

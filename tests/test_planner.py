@@ -9,7 +9,6 @@ import pytest
 from abrplan import (
     CapacityTrace,
     InfeasiblePartError,
-    InvestConfig,
     NoFeasibleSessionError,
     OracleBudgetError,
     QualityLevel,
@@ -66,13 +65,21 @@ class TestInvestThreshold:
 
 
 class TestInvestConfig:
+    """The invest ladder's one setting, its quantum, is checked before any step."""
+
     @pytest.mark.parametrize("quantum", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_rejects_non_positive_and_non_finite_quanta(self, quantum):
+    def test_rejects_non_positive_and_non_finite_quanta(self, quantum, toy_spec, toy_trace):
         with pytest.raises(ValueError, match="quantum_bits"):
-            InvestConfig(quantum)
+            invest_threshold(TestInvestThreshold.TRACE, 1, quantum)
+        with pytest.raises(ValueError, match="quantum_bits"):
+            invest_threshold_candidates(TestInvestThreshold.TRACE, quantum)
+        with pytest.raises(ValueError, match="quantum_bits"):
+            enumerate_candidates(toy_trace, toy_spec, quantum_bits=quantum)
 
     def test_accepts_a_positive_finite_quantum(self):
-        assert InvestConfig(1e-300).quantum_bits == 1e-300
+        t = TestInvestThreshold.TRACE
+        assert invest_threshold(t, 1, 1e-300) == 1 * M
+        assert invest_threshold_candidates(t, 1e-300) == optimal_threshold_candidates(t)
 
 
 class TestThresholdCandidates:
@@ -179,10 +186,6 @@ class TestCandidateSelection:
         with pytest.raises(NoFeasibleSessionError):
             enumerate_candidates(short, toy_spec)
 
-    def test_invest_mode_requires_config(self, toy_spec, toy_trace):
-        with pytest.raises(ValueError):
-            enumerate_candidates(toy_trace, toy_spec, mode="invest")
-
 
 class TestPlanSession:
     def test_deterministic(self, toy_spec, toy_trace):
@@ -208,7 +211,7 @@ class TestPlanSession:
             assert res.outcome.cost <= bench.sigma - a * bench.rho + 1e-12
 
     def test_invest_mode_runs(self, toy_spec, toy_trace):
-        res = plan_session(toy_trace, toy_spec, 2.0, mode="invest", invest=InvestConfig(16.0))
+        res = plan_session(toy_trace, toy_spec, 2.0, quantum_bits=16.0)
         assert res.alpha_th in set(toy_trace.capacities)
 
 

@@ -22,10 +22,9 @@ from abrplan import (
     fit_ascending_levels,
     invest_threshold,
     make_threshold_schedule,
-    run_session,
     transmit_video,
 )
-from abrplan.sim import _EPS, feasible_arrivals
+from abrplan.sim import _EPS, _trajectory_from_counts, deadline_check
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -176,12 +175,13 @@ def test_bit_conservation(trace, spec_plan, alpha):
 @given(traces(), specs_with_plans(), st.floats(0.0, 30.0))
 def test_u_dominates_l_and_monotone(trace, spec_plan, alpha):
     spec, plan = spec_plan
-    run = run_session(trace, alpha, spec, plan)
-    u, l = run.trajectory.arrived, run.trajectory.watched
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+    u = tx.frames_at_boundary.astype(float)
+    l = _trajectory_from_counts(u, spec, trace.slot_duration).watched
     assert np.all(np.diff(u) >= 0)
     assert np.all(np.diff(l) >= 0)
     assert np.all(u >= l - 1e-9)
-    if not run.violation:
+    if deadline_check(tx, spec, trace.slot_duration) is not None:
         assert l[-1] == spec.total_frames
 
 
@@ -189,11 +189,12 @@ def test_u_dominates_l_and_monotone(trace, spec_plan, alpha):
 @given(traces(), specs_with_plans(), st.floats(0.0, 30.0))
 def test_simulation_determinism(trace, spec_plan, alpha):
     spec, plan = spec_plan
-    a = run_session(trace, alpha, spec, plan)
-    b = run_session(trace, alpha, spec, plan)
-    assert np.array_equal(a.transmit.bits_used_per_slot, b.transmit.bits_used_per_slot)
-    assert np.array_equal(a.trajectory.watched, b.trajectory.watched)
-    assert a.violation == b.violation
+    dt = trace.slot_duration
+    a, b = (transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan) for _ in range(2))
+    assert np.array_equal(a.bits_used_per_slot, b.bits_used_per_slot)
+    watched_a, watched_b = (_trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt).watched for tx in (a, b))
+    assert np.array_equal(watched_a, watched_b)
+    assert (deadline_check(a, spec, dt) is None) == (deadline_check(b, spec, dt) is None)
 
 
 @FAST
@@ -299,16 +300,18 @@ def test_trajectory_agrees_with_the_stall_check(trace, spec_plan, alpha):
     lag ``due`` by one frame disagrees on about 1% of such instances, so
     this runs more examples than FAST."""
     spec, plan = spec_plan
-    run = run_session(trace, alpha, spec, plan)
-    traj = run.trajectory
+    dt = trace.slot_duration
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt)
     from_trajectory = (
-        not run.transmit.completed
+        not tx.completed
         or traj.startup_checkpoint is None
         or len(traj.stall_events) > 0
         or traj.watched[-1] < spec.total_frames - 1e-9
     )
-    assert type(run.violation) is bool
-    assert run.violation == exist_violation(trace, alpha, spec, plan) == from_trajectory
+    violation = exist_violation(trace, alpha, spec, plan)
+    assert type(violation) is bool
+    assert violation == (deadline_check(tx, spec, dt) is None) == from_trajectory
 
 
 def list_based_fit(trace, alpha, spec):
@@ -417,15 +420,15 @@ def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     the prefix run on at its last level, as the oracle's search does (shape
     "dfs"; that plan is no heavier and switches no more, so it is feasible
     too)."""
-    due = feasible_arrivals(trace, alpha, spec, plan)[1]
-    curve = make_threshold_schedule(trace, alpha).cumulative
+    schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
+    due = deadline_check(transmit_video(trace, schedule, spec, plan), spec, dt)[1]
     levels, n = plan.segment_levels, spec.n_segments
-    fits = {s: suffix_lookup(due, curve, spec.frame_bits(s) / trace.slot_duration) for s in range(2, spec.n_levels + 1)}
+    fits = {s: suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, spec.n_levels + 1)}
     out = []
     for mid in range(spec.cache_segments, n):
         prefix = levels[:mid]
         for shape, base in (("fit", plan), ("dfs", QualityPlan(prefix + prefix[-1:] * (n - mid)))):
-            u = feasible_arrivals(trace, alpha, spec, base)[0]
+            u = deadline_check(transmit_video(trace, schedule, spec, base), spec, dt)[0]
             for s in range(prefix[-1] + 1, spec.n_levels + 1):
                 probe = QualityPlan(prefix + (s,) * (n - mid))
                 if fits[s](u, mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe):
@@ -521,9 +524,11 @@ def test_feasible_plans_share_the_start_up_and_deadlines(instance):
     The cache segments are pinned at level 1 and sent greedily."""
     trace, alpha, spec, plan = instance
     lowest = QualityPlan.uniform(spec, 1)
-    assert np.array_equal(feasible_arrivals(trace, alpha, spec, plan)[1], feasible_arrivals(trace, alpha, spec, lowest)[1])
-    startup = run_session(trace, alpha, spec, plan).trajectory.startup_checkpoint
-    assert startup == run_session(trace, alpha, spec, lowest).trajectory.startup_checkpoint
+    schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
+    tx, tx_lowest = (transmit_video(trace, schedule, spec, p) for p in (plan, lowest))
+    assert np.array_equal(deadline_check(tx, spec, dt)[1], deadline_check(tx_lowest, spec, dt)[1])
+    startup = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
+    assert startup == _trajectory_from_counts(tx_lowest.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
 
 
 @FAST

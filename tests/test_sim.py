@@ -16,7 +16,6 @@ from abrplan import (
     exist_violation,
     generate_synthetic,
     make_threshold_schedule,
-    run_session,
     transmit_video,
 )
 from abrplan.sim import _trajectory_from_counts, session_length
@@ -59,8 +58,9 @@ class TestHandCheckedSession:
         assert out.cost == pytest.approx(0.6 - 2.0 * 0.75)
 
     def test_session_length(self, toy_spec, toy_trace):
-        traj = run_session(toy_trace, self.ALPHA, toy_spec, self.PLAN).trajectory
-        startup_delay = traj.startup_checkpoint * traj.checkpoint_dt
+        tx = transmit_video(toy_trace, make_threshold_schedule(toy_trace, self.ALPHA), toy_spec, self.PLAN)
+        traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), toy_spec, toy_trace.slot_duration)
+        startup_delay = traj.startup_checkpoint * toy_trace.slot_duration
         assert session_length(toy_spec, startup_delay, traj.stall_events) == pytest.approx(5.0)
 
 
@@ -164,13 +164,14 @@ class TestPlaybackTrajectory:
             spec, trace = random_small_instance(rng)
             alpha = float(rng.choice(trace.capacities))
             plan = QualityPlan.uniform(spec, 1)
-            run = run_session(trace, alpha, spec, plan)
-            traj = run.trajectory
-            assert np.all(traj.arrived >= traj.watched - 1e-9)
+            tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
+            u = tx.frames_at_boundary.astype(float)
+            traj = _trajectory_from_counts(u, spec, trace.slot_duration)
+            assert np.all(u >= traj.watched - 1e-9)
             if traj.startup_checkpoint is None:
                 continue
-            n_cp = traj.arrived.shape[0] - 1
-            step = spec.frame_rate * traj.checkpoint_dt
+            n_cp = u.shape[0] - 1
+            step = spec.frame_rate * trace.slot_duration
             ramp = np.clip(
                 (np.arange(n_cp + 1) - traj.startup_checkpoint) * step,
                 0.0,
@@ -188,6 +189,19 @@ class TestEvaluate:
         starved = CapacityTrace(1.0, (1.0, 1.0, 1.0))
         with pytest.raises(InfeasiblePlanError):
             evaluate(starved, 0.0, toy_spec, QualityPlan.uniform(toy_spec, 1), a=1.0)
+
+    @pytest.mark.parametrize(
+        "capacities, strict, message",
+        [
+            ((1.0, 1.0, 1.0), True, "incomplete delivery"),
+            ((16.0, 0.0, 0.0, 0.0, 16.0, 16.0, 16.0, 16.0), True, "playback stalled"),
+            ((4.0, 0.0, 0.0, 0.0, 0.0, 0.0), False, "playback never started"),
+        ],
+    )
+    def test_infeasible_sessions_say_why(self, toy_spec, capacities, strict, message):
+        trace = CapacityTrace(1.0, capacities)
+        with pytest.raises(InfeasiblePlanError, match=message):
+            evaluate(trace, 0.0, toy_spec, QualityPlan.uniform(toy_spec, 1), a=1.0, strict=strict)
 
     def test_feasible_session_has_no_negative_bits(self, zero_rate_instance):
         trace, spec = zero_rate_instance
