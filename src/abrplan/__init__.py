@@ -33,7 +33,6 @@ from .planner import (
     OracleResult,
     PartitionedPlan,
     PlanResult,
-    StallPolicy,
     detect_stall_segments,
     enumerate_candidates,
     exhaustive_best_plan,

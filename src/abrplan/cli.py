@@ -24,7 +24,6 @@ from .defaults import default_trace_config, default_video_spec
 from .errors import AbrPlanError, NoFeasibleSessionError
 from .model import CapacityTrace, QualityLevel, VideoSpec, compute_cost
 from .planner import (
-    StallPolicy,
     enumerate_candidates,
     plan_session,
     plan_with_stalls,
@@ -343,7 +342,7 @@ def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
             "feasible": False,
         }
         try:
-            split = plan_with_stalls(trace, spec, a_value, StallPolicy(1, (seg,)), quantum)
+            split = plan_with_stalls(trace, spec, a_value, (seg,), quantum)
         except AbrPlanError:
             rows.append(row)
             continue

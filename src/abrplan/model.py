@@ -27,12 +27,10 @@ class CapacityTrace:
     Attributes:
         slot_duration: slot length in seconds (finite, > 0).
         capacities: per-slot average capacity in bits/second (finite, >= 0).
-        origin_time: absolute time of the window start, seconds.
     """
 
     slot_duration: float
     capacities: tuple[float, ...]
-    origin_time: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.slot_duration < math.inf:  # also rejects nan
@@ -68,11 +66,7 @@ class CapacityTrace:
         """Sub-window starting at ``first_slot`` (same slotting)."""
         if not 0 <= first_slot < self.n_slots:
             raise ValueError(f"first_slot {first_slot} outside window")
-        return CapacityTrace(
-            slot_duration=self.slot_duration,
-            capacities=self.capacities[first_slot:],
-            origin_time=self.origin_time + first_slot * self.slot_duration,
-        )
+        return CapacityTrace(slot_duration=self.slot_duration, capacities=self.capacities[first_slot:])
 
 
 @dataclass(frozen=True)
@@ -133,20 +127,9 @@ class VideoSpec:
         """Number of leading segments covered by the start-up threshold."""
         return min(self.n_segments, math.ceil(self.prefetch_frames / self.frames_per_segment))
 
-    @property
-    def full_quality_bits(self) -> float:
-        """Total video size in bits at the top level."""
-        return self.levels[-1].bitrate_bps * self.total_frames / self.frame_rate
-
     def frame_bits(self, level: int) -> float:
         """Size in bits of one frame encoded at ``level`` (1-based)."""
         return self.levels[level - 1].bitrate_bps / self.frame_rate
-
-    @cached_property
-    def frame_bits_by_level(self) -> np.ndarray:
-        arr = np.array([lvl.bitrate_bps for lvl in self.levels]) / self.frame_rate
-        arr.flags.writeable = False
-        return arr
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -218,12 +201,6 @@ class QualityPlan:
     def segment_levels(self) -> tuple[int, ...]:
         return tuple(level for start, end, level in self.spans() for _ in range(end - start))
 
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        arr = np.asarray(self.segment_levels, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
     @classmethod
     def uniform(cls, spec: VideoSpec, level: int) -> "QualityPlan":
         return cls.from_runs(((0, level),), spec.n_segments)
@@ -251,7 +228,6 @@ class ThresholdSchedule:
     """Pure threshold transmission rule: send at full capacity on slots at
     or above the threshold, stay idle elsewhere."""
 
-    alpha: float
     per_slot_rate: tuple[float, ...]
 
     @cached_property
@@ -264,10 +240,6 @@ class ThresholdSchedule:
     def cumulative(self) -> np.ndarray:
         """Rates summed up to each slot boundary; see ``_running_sum``."""
         return _running_sum(self.as_array)
-
-    @property
-    def active_slots(self) -> np.ndarray:
-        return self.as_array > 0
 
 
 def _running_sum(rates: np.ndarray) -> np.ndarray:
@@ -286,7 +258,7 @@ def make_threshold_schedule(trace: CapacityTrace, alpha: float) -> ThresholdSche
         raise ValueError("alpha must be >= 0")
     c = trace.as_array
     rates = np.where(c >= alpha, c, 0.0)
-    return ThresholdSchedule(alpha=float(alpha), per_slot_rate=tuple(rates.tolist()))
+    return ThresholdSchedule(per_slot_rate=tuple(rates.tolist()))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ candidate minimizing utilization - a * quality.
 
 An exhaustive tree search over all ascending plans is provided as a
 desk-scale oracle for the heuristic, and a partitioning mode plans around
-a fixed number of tolerated playback stalls.
+playback stalls at given segments.
 """
 
 from __future__ import annotations
@@ -173,13 +173,9 @@ def fit_ascending_levels(
         return LevelFit(False, plan)
     u, due = session
     lookups = 0
-    # starts[j] is the first segment at level j + 1; a level that a later
-    # one covers entirely keeps its entry, with an empty run, so that the
-    # index still names the level
-    starts = [0]
     for s in range(2, spec.n_levels + 1):
         fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt)
-        lo = max(starts[-1], spec.cache_segments)
+        lo = max(plan.runs[-1][0], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
         while lo <= hi:
@@ -192,8 +188,7 @@ def fit_ascending_levels(
                 lo = mid + 1
         if best == n:
             break  # level s placed nowhere; heavier levels cannot fit either
-        starts.append(best)
-        plan = QualityPlan.from_runs([(start, j + 1) for j, start in enumerate(starts)], n)
+        plan = QualityPlan.from_runs(plan.runs + ((best, s),), n)
         tx = transmit_video(trace, schedule, spec, plan)
         u = tx.frames_at_boundary  # the arrivals of the plan the next level's probes extend
     return LevelFit(deadline_check(tx, spec, dt) is not None, plan, lookups)
@@ -308,7 +303,8 @@ def exhaustive_best_plan(
         )
     fps, dt = spec.frames_per_segment, trace.slot_duration
     schedule = make_threshold_schedule(trace, alpha)
-    if (session := deadline_check(transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)), spec, dt)) is None:
+    lowest = QualityPlan.uniform(spec, 1)
+    if (session := deadline_check(transmit_video(trace, schedule, spec, lowest), spec, dt)) is None:
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
     u0, due = session
     fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, L + 1)}
@@ -327,54 +323,29 @@ def exhaustive_best_plan(
         ):
             best = rho, sigma, plan
 
-    def dfs(runs: tuple, u, pos: int, min_level: int) -> None:
-        # runs: the plan's runs below segment pos, the last at min_level;
-        # u: the arrivals of that plan run on at min_level to the end
+    def dfs(plan: QualityPlan, u, pos: int) -> None:
+        # plan: the node's prefix below segment pos, its last run (at the
+        # node's level) run on to the end; u: that plan's arrivals
         nonlocal nodes
-        for lvl in range(min_level, L + 1):
+        level = plan.runs[-1][1]
+        for lvl in range(level, L + 1):
             nodes += 1
-            if lvl > min_level and not fits[lvl](u, pos * fps):
+            if lvl > level and not fits[lvl](u, pos * fps):
                 break  # heavier fills only cost more: prune this level and above
+            child = plan if lvl == level else QualityPlan.from_runs(plan.runs + ((pos, lvl),), n)
             if pos == n - 1:
-                consider(QualityPlan.from_runs(runs + ((pos, lvl),), n))
-            elif lvl == min_level:
-                dfs(runs, u, pos + 1, lvl)
+                consider(child)
             else:
-                filled = QualityPlan.from_runs(runs + ((pos, lvl),), n)
-                dfs(filled.runs, transmit_video(trace, schedule, spec, filled).frames_at_boundary, pos + 1, lvl)
+                dfs(child, u if child is plan else transmit_video(trace, schedule, spec, child).frames_at_boundary, pos + 1)
 
     if n_free == 0:
-        consider(QualityPlan.uniform(spec, 1))
+        consider(lowest)
     else:
-        dfs(((0, 1),), u0, spec.cache_segments, 1)
+        dfs(lowest, u0, spec.cache_segments)
     if best is None:
         return None
     rho, sigma, plan = best
     return OracleResult(alpha, plan, sigma, rho, (trace, spec, a), nodes)
-
-
-@dataclass(frozen=True)
-class StallPolicy:
-    """Tolerate ``n_stalls`` playback interruptions.
-
-    ``stall_segments`` are the 1-based segments at which the video is cut;
-    when omitted they are detected by simulating the lowest quality at full
-    utilization and taking the first stalls that occur.
-    """
-
-    n_stalls: int
-    stall_segments: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.n_stalls < 0:
-            raise ValueError("n_stalls must be >= 0")
-        if self.stall_segments is not None:
-            cuts = tuple(int(s) for s in self.stall_segments)
-            if len(cuts) != self.n_stalls:
-                raise ValueError("stall_segments must list exactly n_stalls cut points")
-            if any(b <= a for a, b in zip(cuts, cuts[1:])):
-                raise ValueError("stall_segments must be strictly increasing")
-            object.__setattr__(self, "stall_segments", cuts)
 
 
 def detect_stall_segments(trace: CapacityTrace, spec: VideoSpec, k: int) -> tuple[int, ...]:
@@ -412,22 +383,23 @@ def plan_with_stalls(
     trace: CapacityTrace,
     spec: VideoSpec,
     a: float,
-    policy: StallPolicy,
+    cuts: Sequence[int],
     quantum_bits: Optional[float] = None,
 ) -> PartitionedPlan:
-    """Split the video at the stall segments into independent sessions,
-    plan each on its remaining capacity window, and rescore utilization,
-    quality and cost over the whole (longer) session.
+    """Split the video before each of the 1-based ``cuts`` segments into
+    independent sessions, plan each on its remaining capacity window, and
+    rescore utilization, quality and cost over the whole (longer) session.
+    ``detect_stall_segments`` gives the cuts where the stalls fall naturally.
 
     Each later part re-buffers from empty before resuming, mirroring the
     start-up rule, so its start-up delay is the stall duration.
     """
-    cuts = policy.stall_segments
-    if cuts is None:
-        cuts = detect_stall_segments(trace, spec, policy.n_stalls)
+    cuts = tuple(int(s) for s in cuts)
+    if any(y <= x for x, y in zip(cuts, cuts[1:])):
+        raise ValueError("cut segments must be strictly increasing")
     if cuts and (cuts[0] < 2 or cuts[-1] > spec.n_segments):
         raise ValueError("cut segments must lie in [2, n_segments]")
-    bounds = (1,) + tuple(cuts) + (spec.n_segments + 1,)
+    bounds = (1, *cuts, spec.n_segments + 1)
     parts: list[PlanResult] = []
     starts: list[int] = []
     all_bits = np.zeros(trace.n_slots)
@@ -464,7 +436,7 @@ def plan_with_stalls(
     rho = compute_quality(spec, QualityPlan(tuple(all_levels)))
     return PartitionedPlan(
         parts=tuple(parts),
-        cut_segments=tuple(cuts),
+        cut_segments=cuts,
         part_start_slots=tuple(starts),
         utilization=sigma,
         quality=rho,

@@ -255,13 +255,17 @@ def evaluate(
     """
     tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
     dt = trace.slot_duration
-    if strict and deadline_check(tx, spec, dt) is None:
-        raise InfeasiblePlanError(
-            f"session infeasible at alpha={alpha}: "
-            + ("incomplete delivery" if not tx.completed else "playback stalled")
-        )
     u = tx.frames_at_boundary.astype(float)
     traj = _trajectory_from_counts(u, spec, dt)
+    if strict and deadline_check(tx, spec, dt) is None:
+        # the verdict is the check's; the trajectory only names the reason
+        if not tx.completed:
+            reason = "incomplete delivery"
+        elif traj.stall_events:
+            reason = "playback stalled"
+        else:
+            reason = "playback does not finish within the window"
+        raise InfeasiblePlanError(f"session infeasible at alpha={alpha}: {reason}")
     if traj.startup_checkpoint is None:
         raise InfeasiblePlanError("playback never started within the window")
     length = session_length(spec, traj.startup_checkpoint * dt, traj.stall_events)

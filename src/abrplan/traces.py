@@ -81,10 +81,6 @@ class RawBandwidthLog:
     def n_samples(self) -> int:
         return len(self.timestamps_ms)
 
-    @property
-    def total_bytes(self) -> float:
-        return float(sum(self.bytes_received))
-
 
 def ingest_csv(path, column_map: ColumnMap = ColumnMap()) -> RawBandwidthLog:
     """Parse and validate a drive-test bandwidth CSV.
@@ -195,11 +191,7 @@ def mean_trace(traces: list[CapacityTrace]) -> CapacityTrace:
         if t.slot_duration != first.slot_duration or t.n_slots != first.n_slots:
             raise ValueError("traces must share slot duration and length")
     stacked = np.stack([t.as_array for t in traces])
-    return CapacityTrace(
-        slot_duration=first.slot_duration,
-        capacities=tuple(stacked.mean(axis=0).tolist()),
-        origin_time=first.origin_time,
-    )
+    return CapacityTrace(slot_duration=first.slot_duration, capacities=tuple(stacked.mean(axis=0).tolist()))
 
 
 def coarsen(trace: CapacityTrace, factor: int) -> CapacityTrace:
@@ -212,11 +204,7 @@ def coarsen(trace: CapacityTrace, factor: int) -> CapacityTrace:
         return trace
     c = trace.as_array
     out = [float(c[i : i + factor].mean()) for i in range(0, c.shape[0], factor)]
-    return CapacityTrace(
-        slot_duration=trace.slot_duration * factor,
-        capacities=tuple(out),
-        origin_time=trace.origin_time,
-    )
+    return CapacityTrace(slot_duration=trace.slot_duration * factor, capacities=tuple(out))
 
 
 _TRACE_HEADER = "slot_index,capacity_bps"

@@ -15,7 +15,6 @@ from abrplan import (
     CapacityTrace,
     QualityLevel,
     QualityPlan,
-    StallPolicy,
     VideoSpec,
 )
 from abrplan.cli import main as cli_main
@@ -83,12 +82,10 @@ def test_criterion_2_structural_properties():
         sched = ap.make_threshold_schedule(trace, alpha)
         assert all(r in (0.0, c) for r, c in zip(sched.per_slot_rate, trace.capacities))
         higher = ap.make_threshold_schedule(trace, alpha * 1.5 + 0.1)
-        assert set(np.flatnonzero(higher.active_slots)) <= set(
-            np.flatnonzero(sched.active_slots)
-        )
+        assert set(np.flatnonzero(higher.as_array)) <= set(np.flatnonzero(sched.as_array))
 
         fit = ap.fit_ascending_levels(trace, alpha, spec)
-        levels = fit.plan.as_array
+        levels = np.asarray(fit.plan.segment_levels)
         cache = spec.cache_segments
         assert np.all(levels[:cache] == 1) and np.all(np.diff(levels[cache:]) >= 0)
 
@@ -243,7 +240,7 @@ def test_criterion_6_stall_study():
         improving = []
         for seg in range(2, spec.n_segments + 1):
             try:
-                split = ap.plan_with_stalls(trace, spec, a, StallPolicy(1, (seg,)))
+                split = ap.plan_with_stalls(trace, spec, a, (seg,))
             except ap.AbrPlanError:
                 continue
             if split.cost < base.outcome.cost - 1e-12:

@@ -43,10 +43,10 @@ class TestCapacityTrace:
         assert t.capacities[0] == 0.0
 
     def test_tail(self):
-        t = CapacityTrace(slot_duration=2.0, capacities=(1.0, 2.0, 3.0), origin_time=10.0)
+        t = CapacityTrace(slot_duration=2.0, capacities=(1.0, 2.0, 3.0))
         tail = t.tail(1)
         assert tail.capacities == (2.0, 3.0)
-        assert tail.origin_time == 12.0
+        assert tail.slot_duration == 2.0
         with pytest.raises(ValueError):
             t.tail(3)
 
@@ -71,7 +71,7 @@ class TestVideoSpec:
         assert spec.frame_bits(1) == 4.0
         assert spec.frame_bits(2) == 8.0
         # full size at the top level: b_L * N * S / frame_rate
-        assert spec.full_quality_bits == 16.0 * 8 / 2.0
+        assert spec.frame_bits(spec.n_levels) * spec.total_frames == 16.0 * 8 / 2.0
 
     def test_cache_rounds_up_and_caps_at_n(self):
         assert self._spec(prefetch_frames=3).cache_segments == 2
@@ -190,7 +190,7 @@ class TestThresholdSchedule:
             s = make_threshold_schedule(t, alpha)
             for r, c in zip(s.per_slot_rate, caps):
                 assert r == 0.0 or r == c
-            active = set(np.flatnonzero(s.active_slots).tolist())
+            active = set(np.flatnonzero(s.as_array).tolist())
             if prev_active is not None:
                 assert active <= prev_active
             prev_active = active
@@ -285,6 +285,5 @@ class TestCost:
 
 
 def test_frame_bits_match_weights_arrays(toy_spec):
-    assert np.allclose(toy_spec.frame_bits_by_level, [4.0, 8.0])
+    assert np.allclose([toy_spec.frame_bits(level) for level in (1, 2)], [4.0, 8.0])
     assert np.allclose(toy_spec.weights, [0.5, 1.0])
-    assert math.isclose(toy_spec.frame_bits(2), toy_spec.frame_bits_by_level[1])

@@ -13,7 +13,6 @@ from abrplan import (
     OracleBudgetError,
     QualityLevel,
     QualityPlan,
-    StallPolicy,
     VideoSpec,
     compute_quality,
     detect_stall_segments,
@@ -268,15 +267,8 @@ class TestExhaustiveOracle:
 
 
 class TestStallPolicy:
-    def test_validation(self):
-        StallPolicy(0)
-        StallPolicy(2, (5, 9))
-        with pytest.raises(ValueError):
-            StallPolicy(-1)
-        with pytest.raises(ValueError):
-            StallPolicy(2, (9, 5))
-        with pytest.raises(ValueError):
-            StallPolicy(1, (5, 9))
+    """Where the stall-tolerant planner cuts the video when it takes the
+    natural stall positions."""
 
     def test_detect_stall_segments(self, toy_spec):
         # capacity dries up mid-session: lowest quality at full utilization stalls
@@ -295,8 +287,8 @@ class TestPlanWithStalls:
         base = plan_session(toy_trace, toy_spec, 2.0)
         out = base.outcome
         length = session_length(toy_spec, out.startup_slot * toy_trace.slot_duration, out.stall_events)
-        for policy in (StallPolicy(0), StallPolicy(0, ())):
-            split = plan_with_stalls(toy_trace, toy_spec, 2.0, policy)
+        for cuts in ((), detect_stall_segments(toy_trace, toy_spec, 0)):
+            split = plan_with_stalls(toy_trace, toy_spec, 2.0, cuts)
             assert split.parts == (base,)
             assert (split.utilization, split.quality, split.cost) == (out.utilization, out.quality, out.cost)
             assert split.session_length == length
@@ -306,15 +298,15 @@ class TestPlanWithStalls:
     def test_infeasible_k0_is_part_0(self, toy_spec):
         starved = CapacityTrace(1.0, (1.0,) * 8)
         with pytest.raises(InfeasiblePartError) as err:
-            plan_with_stalls(starved, toy_spec, 2.0, StallPolicy(0))
+            plan_with_stalls(starved, toy_spec, 2.0, ())
         assert err.value.part_index == 0
 
     def test_partition_shape_and_quality(self, toy_spec):
         trace = CapacityTrace(1.0, (64.0,) * 12)
-        split = plan_with_stalls(trace, toy_spec, 2.0, StallPolicy(1, (3,)))
+        split = plan_with_stalls(trace, toy_spec, 2.0, (3,))
         assert len(split.parts) == 2
-        assert split.parts[0].plan.as_array.shape[0] == 2
-        assert split.parts[1].plan.as_array.shape[0] == 2
+        assert len(split.parts[0].plan.segment_levels) == 2
+        assert len(split.parts[1].plan.segment_levels) == 2
         all_levels = tuple(
             lvl for part in split.parts for lvl in part.plan.segment_levels
         )
@@ -327,12 +319,14 @@ class TestPlanWithStalls:
         # plenty for part 1, nothing left for part 2
         trace = CapacityTrace(1.0, (64.0, 64.0, 1.0, 1.0, 1.0, 1.0, 1.0))
         with pytest.raises(InfeasiblePartError) as err:
-            plan_with_stalls(trace, toy_spec, 2.0, StallPolicy(1, (3,)))
+            plan_with_stalls(trace, toy_spec, 2.0, (3,))
         assert err.value.part_index == 1
 
     def test_cut_bounds_checked(self, toy_spec, toy_trace):
         with pytest.raises(ValueError):
-            plan_with_stalls(toy_trace, toy_spec, 2.0, StallPolicy(1, (1,)))
+            plan_with_stalls(toy_trace, toy_spec, 2.0, (1,))
+        with pytest.raises(ValueError):
+            plan_with_stalls(toy_trace, toy_spec, 2.0, (3, 2))
 
 
 def test_relative_performance_error():

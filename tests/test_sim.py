@@ -196,6 +196,8 @@ class TestEvaluate:
             ((1.0, 1.0, 1.0), True, "incomplete delivery"),
             ((16.0, 0.0, 0.0, 0.0, 16.0, 16.0, 16.0, 16.0), True, "playback stalled"),
             ((4.0, 0.0, 0.0, 0.0, 0.0, 0.0), False, "playback never started"),
+            # delivered and never stalled, but the window ends before playback does
+            ((16.0,) * 4, True, "playback does not finish within the window"),
         ],
     )
     def test_infeasible_sessions_say_why(self, toy_spec, capacities, strict, message):

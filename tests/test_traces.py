@@ -68,7 +68,7 @@ class TestIngestCsv:
         )
         log = ingest_csv(path)
         assert log.n_samples == 3
-        assert log.total_bytes == 4500.0
+        assert sum(log.bytes_received) == 4500.0
 
     def test_duplicate_timestamp_names_line(self, tmp_path):
         path = _write_log(tmp_path, ["0,59.0,10.0,1000", "0,59.001,10.0,2000"])
@@ -144,7 +144,7 @@ class TestTemporalMapping:
         fast = temporal_mapping(log, 50.0, 1.0)
         bits = lambda t: float(np.sum(t.as_array) * t.slot_duration)
         assert bits(slow) == pytest.approx(bits(fast), rel=1e-9)
-        assert bits(slow) == pytest.approx(log.total_bytes * 8.0, rel=1e-9)
+        assert bits(slow) == pytest.approx(sum(log.bytes_received) * 8.0, rel=1e-9)
         assert fast.n_slots <= slow.n_slots
 
     def test_matches_hand_resampling(self):
