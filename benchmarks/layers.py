@@ -33,7 +33,10 @@ it counts the probes of the fit and of the enumerations: ``*_probes`` are
 simulated sessions (every call the planner makes to ``exist_violation``,
 ``feasible_arrivals`` or ``transmit_video``), ``*_lookups`` the probes
 answered from the frame deadlines (calls of the test that
-``planner._suffix_lookup`` builds; 0 for a version without it).
+``planner._suffix_lookup`` builds; 0 for a version without it), and
+``*_extensions`` the arrivals the planner extends by one run step instead
+of simulating (calls of ``planner.extend_arrivals``; 0 for a version
+without it).
 ``seeds_digest`` hashes the 30 seeds' thresholds examined and candidates
 (threshold, plan, and the float hex of σ and ρ), so that two versions
 with the same results show the same digest.
@@ -153,11 +156,11 @@ def time_item(fn, repeats: int, number: int) -> dict:
     }
 
 
-def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int]:
-    """Simulated and looked-up probes the planner makes while ``fn`` runs:
-    its calls to the functions in ``names``, and to the tests that
-    ``_suffix_lookup`` builds."""
-    counts = {"simulated": 0, "lookups": 0}
+def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int, int]:
+    """Simulated and looked-up probes, and extended arrivals, of the
+    planner while ``fn`` runs: its calls to the functions in ``names``, to
+    the tests that ``_suffix_lookup`` builds, and to ``extend_arrivals``."""
+    counts = {"simulated": 0, "lookups": 0, "extensions": 0}
     planner = ap.planner
 
     def counted(key, original):
@@ -173,6 +176,8 @@ def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int]:
     patches = [(name, counted("simulated", getattr(planner, name))) for name in names if hasattr(planner, name)]
     if hasattr(planner, "_suffix_lookup"):
         patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
+    if hasattr(planner, "extend_arrivals"):
+        patches.append(("extend_arrivals", counted("extensions", planner.extend_arrivals)))
     originals = [(name, getattr(planner, name)) for name, _ in patches]
     for name, wrapper in patches:
         setattr(planner, name, wrapper)
@@ -181,7 +186,7 @@ def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int]:
     finally:
         for name, original in originals:
             setattr(planner, name, original)
-    return counts["simulated"], counts["lookups"]
+    return counts["simulated"], counts["lookups"], counts["extensions"]
 
 
 def enumerate_seeds(ap, spec, traces) -> list:
@@ -206,9 +211,11 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
 
     seed_traces = [ap.generate_synthetic(ap.default_trace_config(seed)) for seed in SEEDS]
     seed_results = enumerate_seeds(ap, spec, seed_traces)
-    enumerate_probes, enumerate_lookups = count_probes(ap, lambda: planner.enumerate_candidates(trace, spec))
-    fit_probes, fit_lookups = count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec))
-    seeds_probes, seeds_lookups = count_probes(ap, lambda: enumerate_seeds(ap, spec, seed_traces))
+    enumerate_probes, enumerate_lookups, enumerate_extensions = count_probes(
+        ap, lambda: planner.enumerate_candidates(trace, spec)
+    )
+    fit_probes, fit_lookups, fit_extensions = count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec))
+    seeds_probes, seeds_lookups, seeds_extensions = count_probes(ap, lambda: enumerate_seeds(ap, spec, seed_traces))
 
     stock = ap.default_video_spec()
     oracle_spec = ap.VideoSpec(10, 4, 4.0, stock.levels[:4], 4)
@@ -219,20 +226,23 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     def oracle():
         return planner.exhaustive_best_plan(oracle_trace, oracle_alpha, oracle_spec, 0.0)
 
-    oracle_simulated, oracle_lookups = count_probes(ap, oracle, SIMULATED_PROBES + ("evaluate",))
+    oracle_simulated, oracle_lookups, _ = count_probes(ap, oracle, SIMULATED_PROBES + ("evaluate",))
     counts = {
         "thresholds_examined": examined,
         "candidates": len(candidates),
         "enumerate_probes": enumerate_probes,
         "enumerate_lookups": enumerate_lookups,
+        "enumerate_extensions": enumerate_extensions,
         "fit_probes": fit_probes,
         "fit_lookups": fit_lookups,
+        "fit_extensions": fit_extensions,
         "selected_alpha": alpha,
         "seeds": len(SEEDS),
         "seeds_thresholds_examined": sum(examined for examined, _ in seed_results),
         "seeds_candidates": sum(len(cands) for _, cands in seed_results),
         "seeds_probes": seeds_probes,
         "seeds_lookups": seeds_lookups,
+        "seeds_extensions": seeds_extensions,
         "seeds_digest": hashlib.sha256(repr(seed_results).encode()).hexdigest(),
         "oracle_nodes": oracle().nodes_visited,
         "oracle_simulated": oracle_simulated,

@@ -32,9 +32,11 @@ from .model import (
     compute_utilization,
     make_threshold_schedule,
 )
-# exist_violation and evaluate stay importable from here: perfbench's tracer patches these names
+# exist_violation and evaluate stay importable from here: perfbench's tracer patches these names;
+# the planner's transmits and extensions go through these names too, so that they can be counted
 from .sim import (
-    _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, evaluate, exist_violation, session_length, transmit_video
+    _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, evaluate, exist_violation, extend_arrivals,
+    session_length, transmit_video,
 )
 
 
@@ -162,14 +164,14 @@ def fit_ascending_levels(
     A probe at segment ``mid`` (the current plan below it, level s from it
     on) is one lookup: the current plan is feasible, so the probe is
     feasible iff its level-s run meets its frames' deadlines. The fit
-    transmits the all-level-1 plan and the plan after each placement, and
-    its verdict is ``deadline_check`` on the last of these transmits.
+    transmits only the all-level-1 plan. After each placement it extends
+    the arrivals by one run step (``extend_arrivals``), and its verdict is
+    ``deadline_check`` on the last arrivals.
     """
     n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
     schedule = make_threshold_schedule(trace, alpha)
     plan = QualityPlan.uniform(spec, 1)
-    tx = transmit_video(trace, schedule, spec, plan)
-    if (session := deadline_check(tx, spec, dt)) is None:
+    if (session := deadline_check(transmit_video(trace, schedule, spec, plan).frames_at_boundary, spec, dt)) is None:
         return LevelFit(False, plan)
     u, due = session
     lookups = 0
@@ -189,9 +191,8 @@ def fit_ascending_levels(
         if best == n:
             break  # level s placed nowhere; heavier levels cannot fit either
         plan = QualityPlan.from_runs(plan.runs + ((best, s),), n)
-        tx = transmit_video(trace, schedule, spec, plan)
-        u = tx.frames_at_boundary  # the arrivals of the plan the next level's probes extend
-    return LevelFit(deadline_check(tx, spec, dt) is not None, plan, lookups)
+        u = extend_arrivals(trace, schedule, spec, u, best * fps, s)  # what the next level's probes extend
+    return LevelFit(deadline_check(u, spec, dt) is not None, plan, lookups)
 
 
 def enumerate_candidates(
@@ -304,7 +305,7 @@ def exhaustive_best_plan(
     fps, dt = spec.frames_per_segment, trace.slot_duration
     schedule = make_threshold_schedule(trace, alpha)
     lowest = QualityPlan.uniform(spec, 1)
-    if (session := deadline_check(transmit_video(trace, schedule, spec, lowest), spec, dt)) is None:
+    if (session := deadline_check(transmit_video(trace, schedule, spec, lowest).frames_at_boundary, spec, dt)) is None:
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
     u0, due = session
     fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, L + 1)}

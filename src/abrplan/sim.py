@@ -63,6 +63,28 @@ def _runs(spec: VideoSpec, plan: QualityPlan):
     return runs
 
 
+def _run_counts(counts: np.ndarray, cum: np.ndarray, start: float, f: int, run_end: int, cost: float, first: int):
+    """The run step: write into ``counts``, from boundary ``first`` on, the
+    frames delivered by a run of frames f..run_end - 1 at ``cost`` each,
+    started at position ``start`` on the cumulative-capacity curve ``cum``
+    (all in bits / dt). The frames done by a boundary are the whole frames
+    that fit between ``start`` and the curve there, and one search finds
+    the boundary ``j`` by which the run completes, where it writes
+    ``run_end``. Returns (stop, j, the clamped positions it wrote): j is past
+    the last boundary when the window ends first."""
+    n_slots = cum.shape[0] - 1
+    stop = start + (run_end - f) * cost
+    j = int(cum.searchsorted(stop - _EPS * cost))
+    last = min(j, n_slots)
+    pos = np.minimum(np.maximum(cum[first : last + 1], start), stop)
+    # whole frames done: (pos - start) / cost + f, with _EPS of slack;
+    # the quotient is >= 0, so the integer cast floors it
+    counts[first : last + 1] = (pos - (start - (f + _EPS) * cost)) / cost
+    if j <= n_slots:
+        counts[j] = run_end
+    return stop, j, pos
+
+
 def transmit_video(
     trace: CapacityTrace,
     schedule: ThresholdSchedule,
@@ -73,14 +95,13 @@ def transmit_video(
     for the transmission rules. ``completed`` is False (not an error) when
     the window ends before the last frame.
 
-    Delivery goes one run (see ``_runs``) at a time. A run starts at a
+    Delivery goes one run (see ``_runs``) at a time, each one run step
+    (``_run_counts``, which ``extend_arrivals`` shares). A run starts at a
     position on the cumulative-capacity curve of its phase: the trace for
-    greedy cache traffic, the schedule otherwise. The frames it has
-    delivered by a slot boundary are the whole frames that fit between that
-    position and the curve there, and one search finds the boundary by
-    which it completes. The rest of that slot is wasted, so the next run
-    starts in the slot after, unless it keeps the level, which happens only
-    where the cache phase ends.
+    greedy cache traffic, the schedule otherwise. The rest of the slot it
+    completes in is wasted, so the next run starts in the slot after,
+    unless it keeps the level, which happens only where the cache phase
+    ends.
     """
     plan.validate(spec)
     if schedule.as_array.shape != trace.as_array.shape:
@@ -102,18 +123,12 @@ def transmit_video(
             break
         phase = trace if greedy else schedule
         rate, cum = phase.as_array, phase.cumulative
-        cost = frame_bits / dt
         start = float(cum[k] + rate[k] * used)
-        stop = start + (run_end - f) * cost
-        j = int(cum.searchsorted(stop - _EPS * cost))  # boundary by which the run completes
+        stop, j, pos = _run_counts(counts, cum, start, f, run_end, frame_bits / dt, first)
         last = min(j, n_slots)
-        pos = np.minimum(np.maximum(cum[first : last + 1], start), stop)
         moved[first : last + 1] = base + (pos - start)
-        # whole frames done: (pos - start) / cost + f, with _EPS of slack;
-        # the quotient is >= 0, so the integer cast floors it
-        counts[first : last + 1] = (pos - (start - (f + _EPS) * cost)) / cost
         if j <= n_slots:
-            counts[j], moved[j] = run_end, base + (stop - start)
+            moved[j] = base + (stop - start)
         f, base = int(counts[last]), float(moved[last])
         if j > n_slots:
             break
@@ -133,6 +148,30 @@ def transmit_video(
         completed=f >= spec.total_frames,
         frames_at_boundary=counts,
     )
+
+
+def extend_arrivals(
+    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, u: np.ndarray, first_frame: int, level: int
+) -> np.ndarray:
+    """The arrivals ``frames_at_boundary`` of a plan switched to ``level``:
+    given the arrivals u of a plan under the schedule, those of the plan
+    that keeps it below frame ``first_frame`` and runs ``level`` from there
+    to the end. ``first_frame`` starts a segment after the cache, and
+    ``level`` differs from the plan's level just before it, so the run
+    starts in the slot after frame ``first_frame - 1`` arrives: the arrivals
+    up to there are u's, and the rest is one run step. Counts only, with no
+    plan checks and no bits."""
+    out = u.copy()
+    k = int(u.searchsorted(first_frame))  # slot the run starts in
+    if k > trace.n_slots:
+        return out  # u never reaches first_frame: the switch is never sent
+    out[k] = first_frame
+    if k < trace.n_slots:
+        cum = schedule.cumulative
+        cost = spec.frame_bits(level) / trace.slot_duration
+        _, j, _ = _run_counts(out, cum, float(cum[k]), first_frame, spec.total_frames, cost, k + 1)
+        out[j + 1 :] = spec.total_frames
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,17 +242,17 @@ def _frame_marks(total: int) -> np.ndarray:
     return marks
 
 
-def deadline_check(tx: TransmitResult, spec: VideoSpec, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The stall check: arrivals u and due frames of a transmit that
-    delivers and plays out the whole video without a stall, else None.
+def deadline_check(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The stall check: arrivals u (a transmit's ``frames_at_boundary``)
+    and their due frames if they deliver (reach the whole video, as
+    ``completed`` says) and play out the video without a stall, else None.
     due[i] counts the frames g with g + _EPS below the playback ramp at
     checkpoint i, so frame g's deadline is the first checkpoint where due
     exceeds g, and the session stalls iff u falls below due. due is the same
     for every plan at one threshold: the start-up checkpoint depends only on
     the cache segments, which stay at level 1."""
-    if not tx.completed:
+    if u[-1] < spec.total_frames:
         return None
-    u = tx.frames_at_boundary
     startup, ramp = _playback_ramp(u, spec, dt)
     if startup is None or ramp[-1] < spec.total_frames - _EPS:
         return None  # playback never starts, or the window ends before it finishes
@@ -230,7 +269,7 @@ def exist_violation(
     """True iff the session stalls or does not deliver and play out the
     whole video within the window."""
     tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan)
-    return deadline_check(tx, spec, trace.slot_duration) is None
+    return deadline_check(tx.frames_at_boundary, spec, trace.slot_duration) is None
 
 
 def session_length(spec: VideoSpec, startup_delay: float, stall_events) -> float:
@@ -257,7 +296,7 @@ def evaluate(
     dt = trace.slot_duration
     u = tx.frames_at_boundary.astype(float)
     traj = _trajectory_from_counts(u, spec, dt)
-    if strict and deadline_check(tx, spec, dt) is None:
+    if strict and deadline_check(tx.frames_at_boundary, spec, dt) is None:
         # the verdict is the check's; the trajectory only names the reason
         if not tx.completed:
             reason = "incomplete delivery"

@@ -2,10 +2,12 @@
 exhaustive oracle, and stall partitioning."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from abrplan import planner
 from abrplan import (
     CapacityTrace,
     InfeasiblePartError,
@@ -15,11 +17,14 @@ from abrplan import (
     QualityPlan,
     VideoSpec,
     compute_quality,
+    default_trace_config,
+    default_video_spec,
     detect_stall_segments,
     enumerate_candidates,
     exhaustive_best_plan,
     exist_violation,
     fit_ascending_levels,
+    generate_synthetic,
     invest_threshold,
     invest_threshold_candidates,
     optimal_threshold_candidates,
@@ -147,6 +152,18 @@ class TestFitAscendingLevels:
                 assert not exist_violation(trace, alpha, spec, fit.plan)
                 hits += 1
         assert hits > 10
+
+    def test_one_transmit_per_fit(self):
+        """The fit transmits its all-level-1 plan and extends its arrivals
+        by one run step after each level it places, counted through the
+        planner's names as the layer benchmark counts them."""
+        spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
+        with mock.patch.object(planner, "transmit_video", wraps=planner.transmit_video) as transmits, \
+                mock.patch.object(planner, "extend_arrivals", wraps=planner.extend_arrivals) as extensions:
+            fit = fit_ascending_levels(trace, min(trace.capacities), spec)
+        assert fit.feasible and len(fit.plan.runs) > 2  # levels placed past the cache
+        assert transmits.call_count == 1
+        assert extensions.call_count == fit.plan.runs[-1][1] - 1  # one per level placed
 
 
 class TestCandidateSelection:

@@ -24,7 +24,7 @@ from abrplan import (
     make_threshold_schedule,
     transmit_video,
 )
-from abrplan.sim import _EPS, _trajectory_from_counts, deadline_check
+from abrplan.sim import _EPS, _trajectory_from_counts, deadline_check, extend_arrivals
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -181,7 +181,7 @@ def test_u_dominates_l_and_monotone(trace, spec_plan, alpha):
     assert np.all(np.diff(u) >= 0)
     assert np.all(np.diff(l) >= 0)
     assert np.all(u >= l - 1e-9)
-    if deadline_check(tx, spec, trace.slot_duration) is not None:
+    if deadline_check(tx.frames_at_boundary, spec, trace.slot_duration) is not None:
         assert l[-1] == spec.total_frames
 
 
@@ -194,7 +194,9 @@ def test_simulation_determinism(trace, spec_plan, alpha):
     assert np.array_equal(a.bits_used_per_slot, b.bits_used_per_slot)
     watched_a, watched_b = (_trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt).watched for tx in (a, b))
     assert np.array_equal(watched_a, watched_b)
-    assert (deadline_check(a, spec, dt) is None) == (deadline_check(b, spec, dt) is None)
+    assert (deadline_check(a.frames_at_boundary, spec, dt) is None) == (
+        deadline_check(b.frames_at_boundary, spec, dt) is None
+    )
 
 
 @FAST
@@ -310,7 +312,7 @@ def test_trajectory_agrees_with_the_stall_check(trace, spec_plan, alpha):
     )
     violation = exist_violation(trace, alpha, spec, plan)
     assert type(violation) is bool
-    assert violation == (deadline_check(tx, spec, dt) is None) == from_trajectory
+    assert violation == (deadline_check(tx.frames_at_boundary, spec, dt) is None) == from_trajectory
 
 
 def list_based_fit(trace, alpha, spec):
@@ -420,14 +422,14 @@ def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     "dfs"; that plan is no heavier and switches no more, so it is feasible
     too)."""
     schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
-    due = deadline_check(transmit_video(trace, schedule, spec, plan), spec, dt)[1]
+    due = deadline_check(transmit_video(trace, schedule, spec, plan).frames_at_boundary, spec, dt)[1]
     levels, n = plan.segment_levels, spec.n_segments
     fits = {s: suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, spec.n_levels + 1)}
     out = []
     for mid in range(spec.cache_segments, n):
         prefix = levels[:mid]
         for shape, base in (("fit", plan), ("dfs", QualityPlan(prefix + prefix[-1:] * (n - mid)))):
-            u = deadline_check(transmit_video(trace, schedule, spec, base), spec, dt)[0]
+            u = deadline_check(transmit_video(trace, schedule, spec, base).frames_at_boundary, spec, dt)[0]
             for s in range(prefix[-1] + 1, spec.n_levels + 1):
                 probe = QualityPlan(prefix + (s,) * (n - mid))
                 if fits[s](u, mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe):
@@ -513,6 +515,85 @@ def test_fit_start_is_feasible_and_locally_earliest(trace, spec, alpha):
         previous = start
 
 
+@FAST
+@given(traces(), specs(max_levels=4), st.floats(0.0, 30.0))
+def test_fit_verdict_is_the_check_on_its_plan(trace, spec, alpha):
+    """The fit transmits only the all-level-1 plan and extends its arrivals
+    after each placement; its verdict is still the stall check on a full
+    transmit of the plan it returns."""
+    fit = fit_ascending_levels(trace, alpha, spec)
+    tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, fit.plan)
+    assert fit.feasible == (deadline_check(tx.frames_at_boundary, spec, trace.slot_duration) is not None)
+
+
+@st.composite
+def switches(draw):
+    """(trace, alpha, spec, plan, segment, level): a small instance and a
+    switch of its ascending plan to a higher level from a segment after the
+    cache, often the first of them. Capacities on the 0.1 grid are zero now
+    and then, and the schedule is zero on every slot below alpha."""
+    trace, alpha, spec, plan = draw(small_instances())
+    cache, n, levels = spec.cache_segments, spec.n_segments, plan.segment_levels
+    assume(cache < n)
+    segment = draw(st.one_of(st.just(cache), st.integers(cache, n - 1)))
+    assume(levels[segment - 1] < spec.n_levels)
+    return trace, alpha, spec, plan, segment, draw(st.integers(levels[segment - 1] + 1, spec.n_levels))
+
+
+def switched_arrivals(trace, alpha, spec, plan, segment, level):
+    """The arrivals of ``plan`` switched to ``level`` from ``segment`` on:
+    extended from the arrivals of ``plan``, and from a full transmit."""
+    schedule = make_threshold_schedule(trace, alpha)
+    n, first = spec.n_segments, segment * spec.frames_per_segment
+    switched = QualityPlan(plan.segment_levels[:segment] + (level,) * (n - segment))
+    u = transmit_video(trace, schedule, spec, plan).frames_at_boundary
+    extended = extend_arrivals(trace, schedule, spec, u, first, level)
+    return extended, transmit_video(trace, schedule, spec, switched).frames_at_boundary
+
+
+@settings(max_examples=500, deadline=None)
+@given(switches())
+def test_extension_matches_transmit(instance):
+    """The arrivals of a switched plan are those of the plan up to the slot
+    where frame ``first - 1`` arrives, then one run step at the new level."""
+    extended, transmitted = switched_arrivals(*instance)
+    assert extended.dtype == transmitted.dtype
+    assert np.array_equal(extended, transmitted)
+
+
+_TWO_LEVELS = (QualityLevel(8.0, 0.5), QualityLevel(16.0, 1.0))
+_FOUR_FRAMES = VideoSpec(4, 1, 1.0, _TWO_LEVELS, 1)  # one-frame cache segment
+
+
+@pytest.mark.parametrize(
+    "instance, case",
+    [
+        # the cache's greedy run continues at level 1 within slot 0, so the
+        # switched plan's arrivals fall below the plan's there
+        ((CapacityTrace(1.0, (16.0, 16.0, 16.0, 16.0, 16.0)), 0.0, _FOUR_FRAMES, QualityPlan((1,) * 4), 1, 2), "cache end"),
+        ((CapacityTrace(1.0, (8.0, 0.0, 16.0, 0.0, 16.0, 16.0)), 0.0, _FOUR_FRAMES, QualityPlan((1,) * 4), 1, 2), "zero slots"),
+        ((CapacityTrace(1.0, (8.0, 16.0, 4.0, 16.0, 16.0)), 10.0, _FOUR_FRAMES, QualityPlan((1,) * 4), 2, 2), "zero slots"),
+        ((CapacityTrace(1.0, (8.0, 8.0, 8.0, 8.0)), 0.0, _FOUR_FRAMES, QualityPlan((1,) * 4), 1, 2), "window ends"),
+        ((CapacityTrace(1.0, (8.0, 0.0, 0.0)), 0.0, _FOUR_FRAMES, QualityPlan((1,) * 4), 2, 2), "never sent"),
+    ],
+)
+def test_extension_edge_cases(instance, case):
+    trace, alpha, spec, plan, segment, level = instance
+    extended, transmitted = switched_arrivals(*instance)
+    assert np.array_equal(extended, transmitted)
+    u = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan).frames_at_boundary
+    k = int(u.searchsorted(segment * spec.frames_per_segment))  # slot the switched run starts in
+    if case == "cache end":
+        assert segment == spec.cache_segments and extended[k] < u[k]
+    elif case == "zero slots":
+        rates = make_threshold_schedule(trace, alpha).as_array
+        assert rates[k] == 0.0 and extended[-1] == spec.total_frames
+    elif case == "window ends":
+        assert k < trace.n_slots and u[k] < extended[-1] < spec.total_frames
+    else:
+        assert k > trace.n_slots and np.array_equal(extended, u)
+
+
 @settings(max_examples=300, deadline=None)
 @given(lookup_instances())
 def test_feasible_plans_share_the_start_up_and_deadlines(instance):
@@ -525,7 +606,8 @@ def test_feasible_plans_share_the_start_up_and_deadlines(instance):
     lowest = QualityPlan.uniform(spec, 1)
     schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
     tx, tx_lowest = (transmit_video(trace, schedule, spec, p) for p in (plan, lowest))
-    assert np.array_equal(deadline_check(tx, spec, dt)[1], deadline_check(tx_lowest, spec, dt)[1])
+    due, due_lowest = (deadline_check(t.frames_at_boundary, spec, dt)[1] for t in (tx, tx_lowest))
+    assert np.array_equal(due, due_lowest)
     startup = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
     assert startup == _trajectory_from_counts(tx_lowest.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
 

@@ -16,7 +16,7 @@ from abrplan import (
     exist_violation,
     generate_synthetic,
     make_threshold_schedule,
-    transmit_video,
+    transmit_video as _transmit_video,
 )
 from abrplan.sim import _trajectory_from_counts, session_length
 
@@ -25,6 +25,15 @@ from reference import (
     reference_transmit,
     reference_violation,
 )
+
+
+def transmit_video(trace, schedule, spec, plan):
+    """``abrplan.transmit_video``, checking that ``completed`` says whether
+    the arrivals reach the whole video, which is how ``deadline_check``
+    reads completion from the arrivals alone."""
+    tx = _transmit_video(trace, schedule, spec, plan)
+    assert tx.completed == (tx.frames_at_boundary[-1] >= spec.total_frames)
+    return tx
 
 
 class TestHandCheckedSession:
