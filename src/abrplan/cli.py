@@ -148,13 +148,12 @@ def _resolve_video(video_path) -> VideoSpec:
         raise click.UsageError(f"bad video spec {video_path}: {exc}") from exc
 
 
-def _resolve_trace(trace_path, synthetic_seed, slot_period) -> CapacityTrace:
-    if (trace_path is None) == (synthetic_seed is None):
-        raise click.UsageError("exactly one of --trace and --synthetic-seed is required")
-    trace = load_trace(trace_path) if trace_path is not None else generate_synthetic(default_trace_config(synthetic_seed))
-    if slot_period is not None:
-        trace = coarsen(trace, _slot_factor(slot_period, trace.slot_duration))
-    return trace
+def _resample(trace: CapacityTrace, slot_period) -> CapacityTrace:
+    """The trace resampled to ``slot_period`` seconds a slot (as it is for
+    None); a usage error unless that is a whole number >= 1 of its slots."""
+    if slot_period is None:
+        return trace
+    return coarsen(trace, _slot_factor(slot_period, trace.slot_duration))
 
 
 def _slot_factor(slot_period, slot_duration) -> int:
@@ -166,15 +165,6 @@ def _slot_factor(slot_period, slot_duration) -> int:
             f"sampling period {slot_period} is not a multiple of the trace slot duration {slot_duration}"
         )
     return int(round(factor))
-
-
-def _invest_config(mode, quantum_q):
-    """The invest ladder's quantum in bits, or None for every distinct capacity."""
-    if mode != "invest":
-        return None
-    if quantum_q is None:
-        raise click.UsageError("--mode invest requires --quantum-q")
-    return quantum_q
 
 
 def _write_csv(path, name: str, rows: list[dict]) -> None:
@@ -205,39 +195,51 @@ def _stack(*options):
 _video_option = click.option("--video", type=click.Path(), default=None, help="video spec JSON (defaults to the stock 3-minute video)")
 _out_option = click.option("--out", type=click.Path(), required=True, help="output file")
 _planning_options = _stack(
-    click.option("--mode", type=click.Choice(["optimal", "invest"]), default="optimal", show_default=True),
-    click.option("--quantum-q", type=_POSITIVE, default=None, help="bits abandoned per threshold step (invest mode)"),
+    click.option("--quantum-q", type=_POSITIVE, default=None, help="plan on the invest ladder, abandoning this many bits per threshold step"),
     click.option("--slot", "slot_period", type=_POSITIVE, default=None, help="resample the trace to this sampling period in seconds"),
 )
-_instance_options = _stack(
-    _video_option,
-    click.option("--trace", "trace_path", type=click.Path(), default=None, help="capacity trace CSV export"),
-    click.option("--synthetic-seed", type=click.IntRange(min=0), default=None, help="generate the stock synthetic window with this seed"),
-    _planning_options,
-    _out_option,
-)
+
+
+def _instance_command(f):
+    """Give a command the options of one planning instance and resolve
+    them once: ``f`` is called with ``(spec, trace, quantum, out, ...)``,
+    the trace resampled and the quantum None for every distinct capacity."""
+
+    @functools.wraps(f)
+    def command(video, trace_path, synthetic_seed, quantum_q, slot_period, **options):
+        spec = _resolve_video(video)
+        if (trace_path is None) == (synthetic_seed is None):
+            raise click.UsageError("exactly one of --trace and --synthetic-seed is required")
+        trace = load_trace(trace_path) if trace_path is not None else generate_synthetic(default_trace_config(synthetic_seed))
+        return f(spec, _resample(trace, slot_period), quantum_q, **options)
+
+    return _stack(
+        _video_option,
+        click.option("--trace", "trace_path", type=click.Path(), default=None, help="capacity trace CSV export"),
+        click.option("--synthetic-seed", type=click.IntRange(min=0), default=None, help="generate the stock synthetic window with this seed"),
+        _planning_options,
+        _out_option,
+    )(command)
 
 
 class _Group(click.Group):
-    """The one place a failure becomes an exit code and an ``error:`` line:
-    usage errors (the group's own options included) exit 4, abrplan errors
-    exit with their ``exit_code``, OSErrors exit 3."""
+    """The one place a failure becomes an exit code and an ``error:`` line,
+    around parsing and running a command alike: usage errors (the group's
+    own options included) exit 4, abrplan errors exit with their
+    ``exit_code``, OSErrors exit 3, an interrupt (Ctrl-C) exits 1.
+    ``--help`` and ``--version`` exit 0."""
 
-    def parse_args(self, ctx, args):
+    def main(self, *args, **kwargs):
         try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            _fail(4, exc.format_message())
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
+            return super().main(*args, standalone_mode=False, **kwargs)
         except click.UsageError as exc:
             _fail(4, exc.format_message())
         except AbrPlanError as exc:
             _fail(exc.exit_code, str(exc))
         except OSError as exc:
             _fail(3, f"I/O failure: {exc}")
+        except click.Abort:
+            _fail(1, "aborted")
 
 
 @click.group(cls=_Group, no_args_is_help=False, context_settings={"auto_envvar_prefix": "ABRPLAN"})
@@ -247,19 +249,17 @@ def main():
 
 
 @main.command("plan")
-@_instance_options
+@_instance_command
 @click.option("--a", "a_value", type=_NON_NEGATIVE, required=True, help="utilization/quality trade-off weight")
-def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, a_value):
+def cmd_plan(spec, trace, quantum, out, a_value):
     """Plan one session and write a JSON report (includes the greedy
     minimum-threshold benchmark for comparison)."""
-    spec = _resolve_video(video)
-    trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    result = plan_session(trace, spec, a_value, _invest_config(mode, quantum_q))
+    result = plan_session(trace, spec, a_value, quantum)
     outcome, bench = result.outcome, result.benchmark
     report = {
         "schema": f"abrplan.plan/{SCHEMA_VERSION}",
         "a": a_value,
-        "mode": mode,
+        "mode": "optimal" if quantum is None else "invest",
         "alpha_th": result.alpha_th,
         "utilization": outcome.utilization,
         "quality": outcome.quality,
@@ -284,16 +284,12 @@ def cmd_plan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, ou
 
 
 @main.command("sweep-a")
-@_instance_options
-@click.option("--a", "a_values", type=_NON_NEGATIVE, multiple=True, help="trade-off weights (repeatable)")
+@_instance_command
+@click.option("--a", "a_values", type=_NON_NEGATIVE, multiple=True, required=True, help="trade-off weights (repeatable)")
 @click.option("--dump-trajectories", type=click.Path(), default=None, help="directory for per-a trajectory JSON dumps")
-def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, a_values, dump_trajectories):
+def cmd_sweep_a(spec, trace, quantum, out, a_values, dump_trajectories):
     """Plan the same instance across trade-off weights; one CSV row per a."""
-    if not a_values:
-        raise click.UsageError("at least one --a value is required")
-    spec = _resolve_video(video)
-    trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    candidates, _ = enumerate_candidates(trace, spec, _invest_config(mode, quantum_q))
+    candidates, _ = enumerate_candidates(trace, spec, quantum)
     rows = []
     for a in a_values:
         best = select_candidate(candidates, a)
@@ -322,36 +318,21 @@ def cmd_sweep_a(video, trace_path, synthetic_seed, mode, quantum_q, slot_period,
 
 
 @main.command("stall-scan")
-@_instance_options
+@_instance_command
 @click.option("--a", "a_value", type=_NON_NEGATIVE, required=True)
 @click.option("--stride", type=_COUNT, default=1, show_default=True, help="scan every n-th segment position")
-def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_period, out, a_value, stride):
+def cmd_stall_scan(spec, trace, quantum, out, a_value, stride):
     """Force one stall at each admissible video position and record the
     objective before and after."""
-    spec = _resolve_video(video)
-    trace = _resolve_trace(trace_path, synthetic_seed, slot_period)
-    quantum = _invest_config(mode, quantum_q)
     cost_before = plan_session(trace, spec, a_value, quantum).outcome.cost
     rows = []
     for seg in range(2, spec.n_segments + 1, stride):
-        row = {
-            "stall_segment": seg,
-            "stall_slot": -1,
-            "cost_before": cost_before,
-            "cost_after": float("nan"),
-            "feasible": False,
-        }
         try:
             split = plan_with_stalls(trace, spec, a_value, (seg,), quantum)
+            after = {"stall_slot": split.part_start_slots[1], "cost_after": split.cost, "feasible": True}
         except AbrPlanError:
-            rows.append(row)
-            continue
-        row.update(
-            stall_slot=split.part_start_slots[1],
-            cost_after=split.cost,
-            feasible=True,
-        )
-        rows.append(row)
+            after = {"stall_slot": -1, "cost_after": float("nan"), "feasible": False}
+        rows.append({"stall_segment": seg, "cost_before": cost_before, **after})
     _write_csv(out, "stall_scan", rows)
     click.echo(f"{len(rows)} positions -> {out}")
 
@@ -360,11 +341,11 @@ def cmd_stall_scan(video, trace_path, synthetic_seed, mode, quantum_q, slot_peri
 @_stack(_video_option, _planning_options, _out_option)
 @click.option("--a", "a_value", type=_NON_NEGATIVE, required=True)
 @click.option("--trace-dir", type=click.Path(), required=True, help="directory of realization trace CSVs")
-def cmd_robustness(video, mode, quantum_q, slot_period, out, a_value, trace_dir):
+def cmd_robustness(video, quantum_q, slot_period, out, a_value, trace_dir):
     """Plan on the mean of all realizations, evaluate that plan on each
-    realization, and report the relative performance errors."""
+    realization, and report the relative performance errors. With --slot
+    the mean is taken at the realizations' own period, then resampled."""
     spec = _resolve_video(video)
-    quantum = _invest_config(mode, quantum_q)
     files = sorted(Path(trace_dir).glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no realization CSVs found in {trace_dir}")
@@ -373,32 +354,19 @@ def cmd_robustness(video, mode, quantum_q, slot_period, out, a_value, trace_dir)
         base_trace = mean_trace(realizations)
     except ValueError as exc:
         raise click.UsageError(f"realizations in {trace_dir}: {exc}") from exc
-    if slot_period is not None:
-        factor = _slot_factor(slot_period, base_trace.slot_duration)
-        base_trace = coarsen(base_trace, factor)
-        realizations = [coarsen(t, factor) for t in realizations]
-    result = plan_session(base_trace, spec, a_value, quantum)
+    result = plan_session(_resample(base_trace, slot_period), spec, a_value, quantum_q)
     rows = []
     for f, real in zip(files, realizations):
-        row = {
-            "realization": f.stem,
-            "p_error_sigma": float("nan"),
-            "p_error_rho": float("nan"),
-            "stalled": True,
-        }
         try:
-            real_out = evaluate(real, result.alpha_th, spec, result.plan, a_value, strict=False)
+            real_out = evaluate(_resample(real, slot_period), result.alpha_th, spec, result.plan, a_value, strict=False)
+            errors = {
+                "p_error_sigma": relative_performance_error(real_out.utilization, result.outcome.utilization),
+                "p_error_rho": relative_performance_error(real_out.quality, result.outcome.quality),
+                "stalled": bool(real_out.stall_events),
+            }
         except AbrPlanError:
-            rows.append(row)
-            continue
-        row.update(
-            p_error_sigma=relative_performance_error(
-                real_out.utilization, result.outcome.utilization
-            ),
-            p_error_rho=relative_performance_error(real_out.quality, result.outcome.quality),
-            stalled=bool(real_out.stall_events),
-        )
-        rows.append(row)
+            errors = {"p_error_sigma": float("nan"), "p_error_rho": float("nan"), "stalled": True}
+        rows.append({"realization": f.stem, **errors})
     _write_csv(out, "robustness", rows)
     click.echo(f"{len(rows)} realizations -> {out}")
 

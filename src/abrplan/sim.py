@@ -18,7 +18,6 @@ Transmission rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -234,29 +233,22 @@ def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Traje
     return Trajectory(watched, startup, events)
 
 
-@lru_cache(maxsize=16)
-def _frame_marks(total: int) -> np.ndarray:
-    """g + _EPS for each frame g: frame g is due once the ramp is above it."""
-    marks = np.arange(total) + _EPS
-    marks.flags.writeable = False
-    return marks
-
-
 def deadline_check(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The stall check: arrivals u (a transmit's ``frames_at_boundary``)
     and their due frames if they deliver (reach the whole video, as
     ``completed`` says) and play out the video without a stall, else None.
     due[i] counts the frames g with g + _EPS below the playback ramp at
-    checkpoint i, so frame g's deadline is the first checkpoint where due
-    exceeds g, and the session stalls iff u falls below due. due is the same
-    for every plan at one threshold: the start-up checkpoint depends only on
-    the cache segments, which stay at level 1."""
+    checkpoint i (in closed form, so no array of frames is built), so frame
+    g's deadline is the first checkpoint where due exceeds g, and the
+    session stalls iff u falls below due. due is the same for every plan at
+    one threshold: the start-up checkpoint depends only on the cache
+    segments, which stay at level 1."""
     if u[-1] < spec.total_frames:
         return None
     startup, ramp = _playback_ramp(u, spec, dt)
     if startup is None or ramp[-1] < spec.total_frames - _EPS:
         return None  # playback never starts, or the window ends before it finishes
-    due = _frame_marks(spec.total_frames).searchsorted(ramp)
+    due = np.ceil(ramp - _EPS).clip(0, spec.total_frames).astype(np.int64)
     return None if (u < due).any() else (u, due)
 
 

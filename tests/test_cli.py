@@ -17,8 +17,12 @@ from abrplan import (
     SyntheticTraceConfig,
     coarsen,
     default_trace_config,
+    evaluate,
     generate_synthetic,
+    load_trace,
+    mean_trace,
     plan_session,
+    relative_performance_error,
     save_trace,
 )
 from abrplan.cli import PLAN_REPORT_SCHEMA, load_video_spec, main
@@ -118,11 +122,20 @@ class TestPlan:
         )
         assert result.exit_code == 4
 
-    def test_invest_requires_quantum(self, runner, video_file, trace_file, tmp_path):
-        args = ["plan", "--video", video_file, "--trace", trace_file,
-                "--a", "1", "--mode", "invest", "--out", str(tmp_path / "r.json")]
-        assert runner.invoke(main, args).exit_code == 4
+    def test_quantum_selects_the_invest_ladder(self, runner, video_file, trace_file, tmp_path):
+        """``--quantum-q`` alone plans on the invest ladder; without it the
+        report says every distinct capacity was a threshold."""
+        out = tmp_path / "r.json"
+        args = ["plan", "--video", video_file, "--trace", trace_file, "--a", "1", "--out", str(out)]
         assert runner.invoke(main, args + ["--quantum-q", "2e6"]).exit_code == 0
+        report = json.loads(out.read_text())
+        expected = plan_session(load_trace(trace_file), load_video_spec(video_file), 1.0, 2e6)
+        assert report["mode"] == "invest"
+        assert report["alpha_th"] == expected.alpha_th
+        assert report["plan"] == list(expected.plan.segment_levels)
+        assert report["candidates_evaluated"] == expected.candidates_evaluated
+        assert runner.invoke(main, args).exit_code == 0
+        assert json.loads(out.read_text())["mode"] == "optimal"
 
     def test_infeasible_exit_code(self, runner, video_file, tmp_path):
         # 4-slot window cannot play a 12 s video
@@ -163,6 +176,16 @@ class TestPlan:
              "--a", "1", "--out", str(tmp_path / "r.json")],
         )
         assert result.exit_code == 0, result.output
+
+    def test_huge_frame_count_plans(self, runner, tmp_path):
+        """The stall check counts due frames without an array of the
+        video's frames, so one segment of 2**62 frames plans."""
+        video = tmp_path / "huge.json"
+        video.write_text(json.dumps(dict(SMALL_VIDEO, n_segments=1, frames_per_segment=2**62, frame_rate=2.0**62, prefetch_frames=1)))
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["plan", "--video", str(video), "--synthetic-seed", "0", "--a", "4.5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["plan"] == [1]
 
     def test_slot_resampling(self, runner, video_file, trace_file, tmp_path):
         out = tmp_path / "r.json"
@@ -295,6 +318,31 @@ class TestRobustness:
             assert float(r["p_error_sigma"]) == 0.0
             assert float(r["p_error_rho"]) == 0.0
             assert r["stalled"] == "false"
+
+    def test_slot_plans_on_the_resampled_mean(self, runner, video_file, tmp_path):
+        """With --slot the plan is made on the mean of the fine
+        realizations, resampled, and scored on each resampled realization."""
+        trace_dir = tmp_path / "realizations"
+        trace_dir.mkdir()
+        realizations = [generate_synthetic(SyntheticTraceConfig(1.5e6, 24, seed=seed)) for seed in range(3)]
+        for seed, t in enumerate(realizations):
+            save_trace(t, trace_dir / f"r{seed}.csv")
+        out = tmp_path / "rob.csv"
+        result = runner.invoke(
+            main,
+            ["robustness", "--video", video_file, "--trace-dir", str(trace_dir),
+             "--a", "2", "--slot", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        spec = load_video_spec(video_file)
+        planned = plan_session(coarsen(mean_trace(realizations), 2), spec, 2.0)
+        _, rows = _read_csv(out)
+        assert [r["realization"] for r in rows] == ["r0", "r1", "r2"]
+        for row, t in zip(rows, realizations):
+            got = evaluate(coarsen(t, 2), planned.alpha_th, spec, planned.plan, 2.0, strict=False)
+            assert float(row["p_error_sigma"]) == relative_performance_error(got.utilization, planned.outcome.utilization)
+            assert float(row["p_error_rho"]) == relative_performance_error(got.quality, planned.outcome.quality)
+            assert row["stalled"] == ("true" if got.stall_events else "false")
 
     @pytest.mark.parametrize(
         "slots, slot_period",
@@ -507,6 +555,7 @@ class TestUsageErrors:
             ("plan", ["--a", "abc"]),
             ("plan", ["--bogus"]),
             ("plan", ["--synthetic-seed", "1.5"]),
+            ("plan", ["--mode", "invest"]),
             ("stall-scan", ["--stride", "0"]),
             ("bench", ["--periods", "0"]),
             ("bench", ["--periods", "1,x"]),
@@ -515,6 +564,7 @@ class TestUsageErrors:
             ("bench", ["--synthetic-seed", "0"]),
             ("robustness", ["--synthetic-seed", "0"]),
             ("robustness", ["--trace", "trace.csv"]),
+            ("robustness", ["--mode", "invest"]),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -569,7 +619,6 @@ _GOOD = {
     "--video": ["$video"],
     "--trace": ["$trace"],
     "--synthetic-seed": ["0", "1"],
-    "--mode": ["optimal", "invest"],
     "--quantum-q": ["2e6", "5e5", "1"],
     "--slot": ["1", "2"],
     "--out": ["$out"],
@@ -586,7 +635,6 @@ _BAD = {
     "--video": ["$missing", "$dir", "$junk", "$bad_video", ""],
     "--trace": ["$missing", "$dir", "$junk", "$short_trace"],
     "--synthetic-seed": ["-1", "nan", "1.5", "x"],
-    "--mode": ["greedy", ""],
     "--quantum-q": ["0", "-1", "nan", "inf", "x"],
     "--slot": ["0.5", "1.5", "0", "-2", "nan", "inf", "1e300", "x"],
     "--out": ["$dir", "$missing/r", "$junk/r"],
@@ -608,10 +656,10 @@ _REQUIRED = {
     "bench": ["--video", "--periods", "--n-traces", "--out"],
 }
 _OPTIONAL = {
-    "plan": ["--mode", "--quantum-q", "--slot"],
-    "sweep-a": ["--mode", "--quantum-q", "--slot", "--dump-trajectories"],
-    "stall-scan": ["--mode", "--quantum-q", "--slot"],
-    "robustness": ["--mode", "--quantum-q", "--slot"],
+    "plan": ["--quantum-q", "--slot"],
+    "sweep-a": ["--quantum-q", "--slot", "--dump-trajectories"],
+    "stall-scan": ["--quantum-q", "--slot"],
+    "robustness": ["--quantum-q", "--slot"],
     "bench": ["--a", "--quantums", "--jobs"],
 }
 

@@ -24,7 +24,7 @@ from abrplan import (
     make_threshold_schedule,
     transmit_video,
 )
-from abrplan.sim import _EPS, _trajectory_from_counts, deadline_check, extend_arrivals
+from abrplan.sim import _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, extend_arrivals
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -610,6 +610,27 @@ def test_feasible_plans_share_the_start_up_and_deadlines(instance):
     assert np.array_equal(due, due_lowest)
     startup = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
     assert startup == _trajectory_from_counts(tx_lowest.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
+
+
+@FAST
+@given(
+    st.integers(1, 60),
+    st.integers(1, 50),
+    st.one_of(st.floats(0.1, 100.0), st.sampled_from([0.25, 0.5, 1.0, 3.0, 30.0])),
+    st.one_of(st.floats(0.1, 5.0), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+    st.integers(0, 20),
+)
+def test_due_frames_match_the_frame_search(n_segments, frames_per_segment, frame_rate, dt, startup):
+    """``deadline_check`` counts the due frames in closed form, as
+    ceil(ramp - _EPS) clipped to the video: the count of frames g with
+    g + _EPS below the playback ramp, whatever the rate and start-up."""
+    spec = VideoSpec(n_segments, frames_per_segment, frame_rate, (QualityLevel(1.0, 1.0),), prefetch_frames=1)
+    total = spec.total_frames
+    n = startup + int(np.ceil(total / (frame_rate * dt))) + 2
+    u = np.where(np.arange(n) < startup, 0.0, float(total))  # every frame arrives at the start-up checkpoint
+    due = deadline_check(u, spec, dt)[1]
+    assert due.dtype == np.int64
+    assert np.array_equal(due, (np.arange(total) + _EPS).searchsorted(_playback_ramp(u, spec, dt)[1]))
 
 
 @FAST
