@@ -7,13 +7,9 @@ from .errors import (
     InfeasiblePartError,
     InfeasiblePlanError,
     InvalidScheduleError,
-    MissingColumnError,
     NoFeasibleSessionError,
-    NonMonotonicTimestampError,
     OracleBudgetError,
-    StationaryLogError,
     TraceFormatError,
-    TraceIngestError,
 )
 from .model import (
     CapacityTrace,
@@ -26,7 +22,6 @@ from .model import (
     compute_quality,
     compute_utilization,
     make_threshold_schedule,
-    weights_from_bitrates,
 )
 from .planner import (
     Candidate,
@@ -47,16 +42,12 @@ from .planner import (
 )
 from .sim import evaluate, exist_violation, transmit_video
 from .traces import (
-    ColumnMap,
-    RawBandwidthLog,
     SyntheticTraceConfig,
     coarsen,
     generate_synthetic,
-    ingest_csv,
     load_trace,
     mean_trace,
     save_trace,
-    temporal_mapping,
 )
 
 __version__ = "0.1.0"

@@ -312,7 +312,7 @@ def cmd_sweep_a(spec, trace, quantum, out, a_values, dump_trajectories):
                 "arrived_frames": list(best.outcome.arrived_frames),
                 "watched_frames": list(best.outcome.watched_frames),
             }
-            write_text_atomic(dump_dir / f"trajectory_a={a:g}.json", json.dumps(dump, indent=2) + "\n")
+            write_text_atomic(dump_dir / f"trajectory_a={a!r}.json", json.dumps(dump, indent=2) + "\n")
     _write_csv(out, "sweep_a", rows)
     click.echo(f"{len(rows)} rows -> {out}")
 

@@ -39,33 +39,6 @@ class OracleBudgetError(AbrPlanError):
     the configured node budget."""
 
 
-class TraceIngestError(AbrPlanError):
-    """A bandwidth log file failed validation.
-
-    ``line`` is the 1-based line number of the offending row, when known.
-    """
-    exit_code = 3
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class MissingColumnError(TraceIngestError):
-    """A declared column is absent from the CSV header."""
-
-
-class NonMonotonicTimestampError(TraceIngestError):
-    """Timestamps must be strictly increasing."""
-
-
-class StationaryLogError(AbrPlanError):
-    """The log covers zero distance; spatial-to-temporal mapping is
-    undefined. Slot the log directly on its own timestamps instead."""
-
-
 class TraceFormatError(AbrPlanError):
     """A trace CSV file does not match the expected export format."""
     exit_code = 3

@@ -138,13 +138,6 @@ class VideoSpec:
         return arr
 
 
-def weights_from_bitrates(bitrates: Sequence[float]) -> tuple[float, ...]:
-    """Level weights from bitrates, normalized by the top bitrate so the
-    best level has weight 1."""
-    bs = [float(b) for b in bitrates]
-    return tuple(b / max(bs) for b in bs)
-
-
 @dataclass(frozen=True, init=False)
 class QualityPlan:
     """Per-segment quality assignment (1-based level indices), held as

@@ -142,7 +142,7 @@ def test_criterion_3_oracle_equivalence():
         for _ in range(n_levels - 1):
             b *= float(rng.uniform(1.4, 2.2))
             bitrates.append(b)
-        weights = ap.weights_from_bitrates(bitrates)
+        weights = [b / max(bitrates) for b in bitrates]
         spec = VideoSpec(
             n_segments=n,
             frames_per_segment=4,

@@ -260,6 +260,24 @@ class TestSweepA:
         payload = json.loads(dumps[0].read_text())
         assert len(payload["arrived_frames"]) == len(payload["watched_frames"])
 
+    def test_trajectory_dump_per_a_value(self, runner, video_file, trace_file, tmp_path):
+        # two values of a that agree to six significant digits
+        out = tmp_path / "sweep.csv"
+        dump_dir = tmp_path / "traj"
+        result = runner.invoke(
+            main,
+            ["sweep-a", "--video", video_file, "--trace", trace_file,
+             "--a", "0.1234561", "--a", "0.1234562",
+             "--dump-trajectories", str(dump_dir), "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        _, rows = _read_csv(out)
+        assert [r["a"] for r in rows] == ["0.1234561", "0.1234562"]
+        for row in rows:
+            dump = dump_dir / f"trajectory_a={row['a']}.json"
+            assert json.loads(dump.read_text())["a"] == float(row["a"])
+        assert len(list(dump_dir.glob("*.json"))) == 2
+
 
 class TestStallScan:
     def test_scan_rows(self, runner, video_file, trace_file, tmp_path):

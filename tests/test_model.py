@@ -15,7 +15,6 @@ from abrplan import (
     compute_quality,
     compute_utilization,
     make_threshold_schedule,
-    weights_from_bitrates,
 )
 
 MBPS = 1e6
@@ -120,12 +119,6 @@ class TestVideoSpec:
 
     def test_accepts_numpy_integer_counts(self):
         assert self._spec(n_segments=np.int64(4)).total_frames == 8
-
-
-def test_weights_from_bitrates():
-    w = weights_from_bitrates([0.4, 0.75, 1.0, 2.5, 4.5])
-    assert w[-1] == 1.0
-    assert w[0] == pytest.approx(0.4 / 4.5)
 
 
 class TestQualityPlan:
