@@ -158,9 +158,9 @@ def _resample(trace: CapacityTrace, slot_period) -> CapacityTrace:
 
 def _slot_factor(slot_period, slot_duration) -> int:
     """How many trace slots make one sampling period; a usage error unless
-    that is a whole number >= 1."""
+    that is a whole number >= 1 and that many slots last a finite time."""
     factor = slot_period / slot_duration
-    if abs(factor - round(factor)) > 1e-9 or factor < 1:
+    if not 1 <= factor < math.inf or abs(factor - round(factor)) > 1e-9 or slot_duration * round(factor) == math.inf:
         raise click.UsageError(
             f"sampling period {slot_period} is not a multiple of the trace slot duration {slot_duration}"
         )

@@ -216,23 +216,14 @@ class QualityPlan:
             raise ValueError("levels must be non-decreasing after the cache segments")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdSchedule:
     """Pure threshold transmission rule: send at full capacity on slots at
-    or above the threshold, stay idle elsewhere."""
+    or above the threshold, stay idle elsewhere. Both arrays are read-only
+    and named as ``CapacityTrace``'s, so either one can be a run's phase."""
 
-    per_slot_rate: tuple[float, ...]
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        arr = np.asarray(self.per_slot_rate, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Rates summed up to each slot boundary; see ``_running_sum``."""
-        return _running_sum(self.as_array)
+    as_array: np.ndarray  # per-slot rates
+    cumulative: np.ndarray  # rates summed up to each slot boundary; see ``_running_sum``
 
 
 def _running_sum(rates: np.ndarray) -> np.ndarray:
@@ -251,7 +242,8 @@ def make_threshold_schedule(trace: CapacityTrace, alpha: float) -> ThresholdSche
         raise ValueError("alpha must be >= 0")
     c = trace.as_array
     rates = np.where(c >= alpha, c, 0.0)
-    return ThresholdSchedule(per_slot_rate=tuple(rates.tolist()))
+    rates.flags.writeable = False
+    return ThresholdSchedule(rates, _running_sum(rates))
 
 
 @dataclass(frozen=True)

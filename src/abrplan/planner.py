@@ -89,14 +89,17 @@ def invest_threshold(trace: CapacityTrace, step_index: int, quantum_bits: float)
 
 def optimal_threshold_candidates(trace: CapacityTrace) -> list[float]:
     """All distinct capacity values, ascending."""
-    return [float(v) for v in np.unique(trace.as_array)]
+    return np.unique(trace.as_array).tolist()
 
 
 def invest_threshold_candidates(trace: CapacityTrace, quantum_bits: float) -> list[float]:
     """The candidate ladder the variable-footstep mode walks: the minimum
-    capacity, then the threshold after each further quantum, duplicates
-    skipped. Steps between the same two cumulative volumes share one
-    threshold, so the walk jumps volume to volume: at most one per slot."""
+    capacity, ``invest_threshold`` at each step i >= 2 while i - 1 quanta
+    stay below the total volume, and the maximum capacity, ascending and
+    without duplicates. Steps between the same two cumulative volumes
+    share one threshold, so only the first step that reaches each volume
+    matters: sorted slot m is a rung iff that step is walked and stays
+    below volume m + 1."""
     if not 0 < quantum_bits < math.inf:  # also rejects nan
         raise ValueError(f"quantum_bits must be positive and finite, got {quantum_bits}")
     sorted_c = np.sort(trace.as_array)
@@ -104,23 +107,14 @@ def invest_threshold_candidates(trace: CapacityTrace, quantum_bits: float) -> li
     total = float(np.sum(trace.as_array) * trace.slot_duration)
     if total / quantum_bits >= 2**53:  # steps past float precision: the limit has every capacity
         return optimal_threshold_candidates(trace)
-    out = [float(sorted_c[0])]
-    i = 2
-    while (i - 1) * quantum_bits < total:
-        ind = int(np.searchsorted(cum, i * quantum_bits, side="right")) - 1  # as invest_threshold
-        alpha = float(sorted_c[max(ind, 0)])
-        if alpha > out[-1]:
-            out.append(alpha)
-        if ind + 1 == len(cum):
-            break
-        # the first step whose budget reaches the next volume; below 2**53 steps
-        # the rounded quotient is within 2 of it
-        i = max(i + 1, math.ceil(cum[ind + 1] / quantum_bits) - 2)
-        while i * quantum_bits < cum[ind + 1]:
-            i += 1
-    if out[-1] < sorted_c[-1]:
-        out.append(float(sorted_c[-1]))
-    return out
+    with np.errstate(over="ignore"):  # i·Q is inf near the float maximum, as in Python floats
+        # the first step i >= 2 whose budget i·Q reaches each volume; below
+        # 2**53 steps the rounded quotient is within 2 of it
+        i = np.maximum(2.0, np.ceil(cum / quantum_bits) - 2)
+        while (short := i * quantum_bits < cum).any():
+            i += short
+        rung = ((i[:-1] - 1) * quantum_bits < total) & (i[:-1] * quantum_bits < cum[1:])
+    return np.unique(np.concatenate((sorted_c[:1], sorted_c[:-1][rung], sorted_c[-1:]))).tolist()
 
 
 @dataclass(frozen=True)
@@ -254,11 +248,10 @@ def plan_session(
     lowest-quality session at the minimum capacity threshold stalls."""
     candidates, examined = enumerate_candidates(trace, spec, quantum_bits)
     best = select_candidate(candidates, a)
-    outcome = dataclasses.replace(best.outcome, cost=compute_cost(best.sigma, best.rho, a))
     return PlanResult(
         alpha_th=best.alpha,
         plan=best.plan,
-        outcome=outcome,
+        outcome=evaluate(trace, best.alpha, spec, best.plan, a=a),
         candidates_evaluated=examined,
         benchmark=candidates[0],
     )

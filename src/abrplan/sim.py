@@ -41,7 +41,6 @@ _EPS = 1e-9
 @dataclass(frozen=True)
 class TransmitResult:
     bits_used_per_slot: np.ndarray
-    completed: bool
     # cumulative frames delivered at each slot boundary (length n_slots + 1)
     frames_at_boundary: np.ndarray = field(repr=False)
 
@@ -91,8 +90,8 @@ def transmit_video(
     plan: QualityPlan,
 ) -> TransmitResult:
     """Deliver frames in order under the schedule; see the module docstring
-    for the transmission rules. ``completed`` is False (not an error) when
-    the window ends before the last frame.
+    for the transmission rules. A window that ends before the last frame
+    is not an error: the arrivals then stop short of the whole video.
 
     Delivery goes one run (see ``_runs``) at a time, each one run step
     (``_run_counts``, which ``extend_arrivals`` shares). A run starts at a
@@ -144,7 +143,6 @@ def transmit_video(
     return TransmitResult(
         # slices, not np.diff, whose call overhead doubles this on short windows
         bits_used_per_slot=(moved[1:] - moved[:-1]) * dt,
-        completed=f >= spec.total_frames,
         frames_at_boundary=counts,
     )
 
@@ -235,8 +233,8 @@ def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Traje
 
 def deadline_check(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The stall check: arrivals u (a transmit's ``frames_at_boundary``)
-    and their due frames if they deliver (reach the whole video, as
-    ``completed`` says) and play out the video without a stall, else None.
+    and their due frames if they deliver (reach the whole video) and play
+    out the video without a stall, else None.
     due[i] counts the frames g with g + _EPS below the playback ramp at
     checkpoint i (in closed form, so no array of frames is built), so frame
     g's deadline is the first checkpoint where due exceeds g, and the
@@ -290,7 +288,7 @@ def evaluate(
     traj = _trajectory_from_counts(u, spec, dt)
     if strict and deadline_check(tx.frames_at_boundary, spec, dt) is None:
         # the verdict is the check's; the trajectory only names the reason
-        if not tx.completed:
+        if tx.frames_at_boundary[-1] < spec.total_frames:
             reason = "incomplete delivery"
         elif traj.stall_events:
             reason = "playback stalled"

@@ -30,8 +30,10 @@ class SyntheticTraceConfig:
     def __post_init__(self):
         if not 0 < self.mean_bps < math.inf:  # also rejects nan
             raise ValueError("mean_bps must be positive and finite")
-        if self.window_slots < 1:
-            raise ValueError("window_slots must be >= 1")
+        for name, low in (("window_slots", 1), ("seed", 0)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {count!r}")
         if not 0 < self.slot_duration < math.inf:
             raise ValueError("slot_duration must be positive and finite")
         if not 0 <= self.spread_fraction < 1:

@@ -204,6 +204,30 @@ class TestPlan:
         )
         assert bad.exit_code == 4
 
+    @pytest.mark.parametrize("command", ["plan", "robustness"])
+    @pytest.mark.parametrize(
+        "slot_duration, slot_period",
+        [(0.5, "1.7e308"), (1.1218605132753097, "1.7976931348623157e308")],
+        ids=["infinite-factor", "infinite-resampled-slot"],
+    )
+    def test_slot_past_the_float_range_is_a_config_error(
+        self, runner, video_file, tmp_path, command, slot_duration, slot_period
+    ):
+        """A period that is more trace slots than a float holds, or whose
+        whole number of slots lasts longer than one, is a usage error, not
+        a traceback."""
+        (tmp_path / "traces").mkdir()
+        trace = tmp_path / "traces" / "t.csv"
+        save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 16, slot_duration=slot_duration, seed=3)), trace)
+        source = ["--trace", str(trace)] if command == "plan" else ["--trace-dir", str(trace.parent)]
+        result = runner.invoke(
+            main,
+            [command, "--video", video_file, *source, "--a", "1", "--slot", slot_period, "--out", str(tmp_path / "r.out")],
+        )
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
 
 class TestSweepA:
     def test_rows_and_monotone_threshold(self, runner, video_file, trace_file, tmp_path):

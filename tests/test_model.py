@@ -161,18 +161,18 @@ class TestThresholdSchedule:
     def test_direct_example(self):
         t = CapacityTrace(1.0, (1 * MBPS, 3 * MBPS, 2 * MBPS, 5 * MBPS))
         s = make_threshold_schedule(t, 2.5 * MBPS)
-        assert s.per_slot_rate == (0.0, 3 * MBPS, 0.0, 5 * MBPS)
+        assert s.as_array.tolist() == [0.0, 3 * MBPS, 0.0, 5 * MBPS]
         assert s.cumulative.tolist() == [0.0, 0.0, 3 * MBPS, 3 * MBPS, 8 * MBPS]
-        assert make_threshold_schedule(t, 0.0).per_slot_rate == t.capacities
-        assert make_threshold_schedule(t, 2.5 * MBPS).per_slot_rate == s.per_slot_rate
+        assert make_threshold_schedule(t, 0.0).as_array.tolist() == list(t.capacities)
+        assert make_threshold_schedule(t, 2.5 * MBPS).as_array.tolist() == s.as_array.tolist()
 
     def test_alpha_zero_is_greedy(self):
         t = CapacityTrace(1.0, (1.0, 2.0, 0.0))
-        assert make_threshold_schedule(t, 0.0).per_slot_rate == t.capacities
+        assert make_threshold_schedule(t, 0.0).as_array.tolist() == list(t.capacities)
 
     def test_alpha_above_max_idles_everywhere(self):
         t = CapacityTrace(1.0, (1.0, 2.0))
-        assert make_threshold_schedule(t, 3.0).per_slot_rate == (0.0, 0.0)
+        assert make_threshold_schedule(t, 3.0).as_array.tolist() == [0.0, 0.0]
 
     def test_threshold_form_and_shrinkage(self):
         rng = np.random.default_rng(7)
@@ -181,7 +181,7 @@ class TestThresholdSchedule:
         prev_active = None
         for alpha in sorted(rng.uniform(0.0, 3.5, 10)):
             s = make_threshold_schedule(t, alpha)
-            for r, c in zip(s.per_slot_rate, caps):
+            for r, c in zip(s.as_array.tolist(), caps):
                 assert r == 0.0 or r == c
             active = set(np.flatnonzero(s.as_array).tolist())
             if prev_active is not None:
@@ -191,6 +191,12 @@ class TestThresholdSchedule:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             make_threshold_schedule(CapacityTrace(1.0, (1.0,)), -1.0)
+
+    def test_arrays_are_read_only(self):
+        s = make_threshold_schedule(CapacityTrace(1.0, (1.0, 2.0)), 1.5)
+        for arr in (s.as_array, s.cumulative):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
 
 
 class TestUtilization:

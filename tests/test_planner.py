@@ -21,6 +21,7 @@ from abrplan import (
     default_video_spec,
     detect_stall_segments,
     enumerate_candidates,
+    evaluate,
     exhaustive_best_plan,
     exist_violation,
     fit_ascending_levels,
@@ -128,6 +129,24 @@ class TestThresholdCandidates:
         assert invest_threshold_candidates(t, 1e-300) == opt
 
 
+@pytest.mark.filterwarnings("error")
+class TestInvestLadderExtremes:
+    """The ladder at the ends of the float range, with warnings as errors."""
+
+    TRACE = CapacityTrace(1.0, (3 * M, 1 * M, 2 * M, 2 * M, 5 * M))
+
+    def test_a_huge_quantum_gives_min_and_max(self):
+        # i·Q overflows to inf here, silently
+        assert invest_threshold_candidates(self.TRACE, 1e308) == [1 * M, 5 * M]
+
+    def test_an_all_zero_trace_has_one_rung(self):
+        for q in (5e-324, 1.0, 1e308):
+            assert invest_threshold_candidates(CapacityTrace(1.0, (0.0, 0.0, 0.0)), q) == [0.0]
+
+    def test_the_smallest_quantum_gives_every_capacity(self):
+        assert invest_threshold_candidates(self.TRACE, 5e-324) == [1 * M, 2 * M, 3 * M, 5 * M]
+
+
 class TestFitAscendingLevels:
     def test_infeasible_when_even_level1_stalls(self, toy_spec):
         starved = CapacityTrace(1.0, (1.0, 1.0, 1.0, 1.0))
@@ -229,6 +248,14 @@ class TestPlanSession:
     def test_invest_mode_runs(self, toy_spec, toy_trace):
         res = plan_session(toy_trace, toy_spec, 2.0, quantum_bits=16.0)
         assert res.alpha_th in set(toy_trace.capacities)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_outcome_is_the_evaluation_of_the_selection(self, seed):
+        """The reported outcome is ``evaluate`` of the selected threshold and
+        plan at the planning a, field for field."""
+        spec, trace = default_video_spec(), generate_synthetic(default_trace_config(seed))
+        res = plan_session(trace, spec, 4.5)
+        assert res.outcome == evaluate(trace, res.alpha_th, spec, res.plan, 4.5)
 
 
 class TestExhaustiveOracle:

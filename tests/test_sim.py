@@ -16,7 +16,7 @@ from abrplan import (
     exist_violation,
     generate_synthetic,
     make_threshold_schedule,
-    transmit_video as _transmit_video,
+    transmit_video,
 )
 from abrplan.sim import _trajectory_from_counts, session_length
 
@@ -25,15 +25,6 @@ from reference import (
     reference_transmit,
     reference_violation,
 )
-
-
-def transmit_video(trace, schedule, spec, plan):
-    """``abrplan.transmit_video``, checking that ``completed`` says whether
-    the arrivals reach the whole video, which is how ``deadline_check``
-    reads completion from the arrivals alone."""
-    tx = _transmit_video(trace, schedule, spec, plan)
-    assert tx.completed == (tx.frames_at_boundary[-1] >= spec.total_frames)
-    return tx
 
 
 class TestHandCheckedSession:
@@ -51,7 +42,7 @@ class TestHandCheckedSession:
     def test_transmission(self, toy_spec, toy_trace):
         sched = make_threshold_schedule(toy_trace, self.ALPHA)
         tx = transmit_video(toy_trace, sched, toy_spec, self.PLAN)
-        assert tx.completed
+        assert tx.frames_at_boundary[-1] == toy_spec.total_frames
         assert np.allclose(tx.bits_used_per_slot, [16, 0, 16, 16, 0, 0])
         assert np.array_equal(tx.frames_at_boundary, [0, 4, 4, 6, 8, 8, 8])
 
@@ -86,7 +77,7 @@ class TestTransmissionRules:
     def test_bit_conservation_single_level(self, toy_spec, toy_trace):
         plan = QualityPlan.uniform(toy_spec, 1)
         tx = transmit_video(toy_trace, make_threshold_schedule(toy_trace, 0.0), toy_spec, plan)
-        assert tx.completed
+        assert tx.frames_at_boundary[-1] == toy_spec.total_frames
         assert tx.bits_used_per_slot.sum() == pytest.approx(8 * 4.0)  # N*S * b_1/rate
 
     def test_alpha_above_max_never_completes(self, toy_spec, toy_trace):
@@ -94,7 +85,7 @@ class TestTransmissionRules:
         sched = make_threshold_schedule(toy_trace, 100.0)
         tx = transmit_video(toy_trace, sched, toy_spec, plan)
         # greedy prefetch still ships the cache segment, nothing more
-        assert not tx.completed
+        assert tx.frames_at_boundary[-1] < toy_spec.total_frames
         assert tx.frames_at_boundary[-1] == toy_spec.frames_per_segment
         assert exist_violation(toy_trace, 100.0, toy_spec, plan)
 
@@ -116,7 +107,7 @@ class TestTransmissionRules:
         tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, plan)
         # frame 2 receives 6 of its 16 bits in slot 1 and the other 10 in
         # slot 2, which alone could not carry it
-        assert tx.completed
+        assert tx.frames_at_boundary[-1] == spec.total_frames
         assert np.allclose(tx.bits_used_per_slot, [8.0, 6.0, 10.0])
         assert tx.frames_at_boundary.tolist() == [0, 1, 1, 2]
 
@@ -126,7 +117,7 @@ class TestTransmissionRules:
         plan = QualityPlan.uniform(spec, 1)
         sched = make_threshold_schedule(trace, 5.0)
         tx = transmit_video(trace, sched, spec, plan)
-        active = np.asarray(sched.per_slot_rate) > 0
+        active = sched.as_array > 0
         assert np.all(tx.bits_used_per_slot[~active][1:] == 0)  # slot 0 is greedy
 
     def test_greedy_prefetch_ignores_threshold(self):
@@ -277,7 +268,7 @@ class TestAgainstReference:
             ref_counts = np.searchsorted(
                 ref_times, (np.arange(trace.n_slots + 1) + 1e-9) * trace.slot_duration, side="right"
             )
-            assert tx.completed == ref_done
+            assert (tx.frames_at_boundary[-1] >= spec.total_frames) == ref_done
             assert np.array_equal(tx.frames_at_boundary, ref_counts)
             assert np.allclose(tx.bits_used_per_slot, ref_bits, rtol=1e-6, atol=1e-6)
 

@@ -49,6 +49,14 @@ class TestSynthetic:
             SyntheticTraceConfig(1.0, 0)
         with pytest.raises(ValueError):
             SyntheticTraceConfig(1.0, 10, spread_fraction=1.0)
+        # counts that are not integers, which numpy would reject only when drawing
+        for bad in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match="window_slots"):
+                SyntheticTraceConfig(1.0, bad)
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                SyntheticTraceConfig(1.0, 10, seed=bad)
+        assert generate_synthetic(SyntheticTraceConfig(1.0, np.int64(3), seed=np.int64(0))).n_slots == 3
 
 
 class TestMeanTrace:
