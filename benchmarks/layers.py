@@ -23,15 +23,17 @@ optimal-threshold mode, with a = 4.5 for candidate selection. Timed items:
   threshold, a = 0, on the ``oracle-small`` shape of perfbench: 10
   one-second segments of 4 frames, 4 frames of start-up, the stock
   ladder's lowest 4 levels, and the 14-slot 1.25 Mbps window of synthetic
-  seed 0. Its node count, simulated sessions (``evaluate`` included) and
-  lookups are recorded next to it (``oracle_*``).
+  seed 0. Its node count, simulated sessions and lookups are recorded
+  next to it (``oracle_*``).
 
 Every other item runs ``--repeats`` times; one repeat calls it ``number`` times
 and records the mean per call. The report gives the median and quartiles
 over the repeats, and the Python and numpy versions. Next to the timings
 it counts the probes of the fit and of the enumerations: ``*_probes`` are
 simulated sessions (every call the planner makes to ``exist_violation``,
-``feasible_arrivals`` or ``transmit_video``), ``*_lookups`` the probes
+``feasible_arrivals``, ``transmit_video`` or ``evaluate``, so that a
+version that scores a threshold with ``evaluate`` and one that scores it
+with a transmit count the same sessions), ``*_lookups`` the probes
 answered from the frame deadlines (calls of the test that
 ``planner._suffix_lookup`` builds; 0 for a version without it), and
 ``*_extensions`` the arrivals the planner extends by one run step instead
@@ -84,7 +86,7 @@ NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 
 SEEDS = range(30)
 SEEDS_REPEATS = 3
 # the planner's names for a simulated session, where the version has them
-SIMULATED_PROBES = ("exist_violation", "feasible_arrivals", "transmit_video")
+SIMULATED_PROBES = ("exist_violation", "feasible_arrivals", "transmit_video", "evaluate")
 ORACLE_SEED = 0
 ORACLE_WINDOW = (1.25e6, 14)  # mean bits/s, one-second slots
 # whole-process CLI runs (arguments before --out), each run CLI_RUNS times
@@ -156,9 +158,9 @@ def time_item(fn, repeats: int, number: int) -> dict:
     }
 
 
-def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int, int]:
+def count_probes(ap, fn) -> tuple[int, int, int]:
     """Simulated and looked-up probes, and extended arrivals, of the
-    planner while ``fn`` runs: its calls to the functions in ``names``, to
+    planner while ``fn`` runs: its calls to the ``SIMULATED_PROBES``, to
     the tests that ``_suffix_lookup`` builds, and to ``extend_arrivals``."""
     counts = {"simulated": 0, "lookups": 0, "extensions": 0}
     planner = ap.planner
@@ -173,7 +175,7 @@ def count_probes(ap, fn, names=SIMULATED_PROBES) -> tuple[int, int, int]:
     def counted_lookups(build):
         return lambda *args, **kwargs: counted("lookups", build(*args, **kwargs))
 
-    patches = [(name, counted("simulated", getattr(planner, name))) for name in names if hasattr(planner, name)]
+    patches = [(name, counted("simulated", getattr(planner, name))) for name in SIMULATED_PROBES if hasattr(planner, name)]
     if hasattr(planner, "_suffix_lookup"):
         patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
     if hasattr(planner, "extend_arrivals"):
@@ -226,7 +228,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     def oracle():
         return planner.exhaustive_best_plan(oracle_trace, oracle_alpha, oracle_spec, 0.0)
 
-    oracle_simulated, oracle_lookups, _ = count_probes(ap, oracle, SIMULATED_PROBES + ("evaluate",))
+    oracle_simulated, oracle_lookups, _ = count_probes(ap, oracle)
     counts = {
         "thresholds_examined": examined,
         "candidates": len(candidates),

@@ -144,7 +144,7 @@ def _resolve_video(video_path) -> VideoSpec:
         return default_video_spec()
     try:
         return load_video_spec(video_path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise click.UsageError(f"bad video spec {video_path}: {exc}") from exc
 
 
@@ -415,7 +415,7 @@ def cmd_bench(video, out, jobs, a_value, periods, quantums, n_traces):
         # imported here: the process-pool machinery is about 0.5 MB that no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:  # it forks every worker up front
             outputs = list(pool.map(_bench_cell, cells))
     else:
         outputs = [_bench_cell(c) for c in cells]

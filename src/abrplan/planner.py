@@ -189,17 +189,24 @@ def fit_ascending_levels(
     return LevelFit(deadline_check(u, spec, dt) is not None, plan, lookups)
 
 
+def _feasible_length(u: np.ndarray, spec: VideoSpec, dt: float) -> float:
+    """``evaluate``'s session length for feasible arrivals u: no stall, and
+    start-up at the first boundary holding the prefetch frames, which every
+    feasible plan at one threshold shares."""
+    return session_length(spec, _playback_ramp(u, spec, dt)[0] * dt, ())
+
+
 def enumerate_candidates(
     trace: CapacityTrace,
     spec: VideoSpec,
     quantum_bits: Optional[float] = None,
 ) -> tuple[list[Candidate], int]:
     """Walk the threshold ladder from the bottom, fitting a plan to each
-    candidate, stopping at the first threshold where even the lowest
-    quality stalls. The ladder is every distinct capacity, or with
-    ``quantum_bits`` the variable-footstep ladder that abandons that many
-    bits per step. Returns the feasible candidates (ascending threshold)
-    and the number of thresholds examined."""
+    candidate and scoring it from one transmit, stopping at the first
+    threshold where even the lowest quality stalls. The ladder is every
+    distinct capacity, or with ``quantum_bits`` the variable-footstep
+    ladder that abandons that many bits per step. Returns the feasible
+    candidates (ascending threshold) and the number of thresholds examined."""
     if spec.total_frames / spec.frame_rate > trace.window_length:
         raise NoFeasibleSessionError(
             "capacity window is shorter than the video playback time"
@@ -215,8 +222,10 @@ def enumerate_candidates(
         fit = fit_ascending_levels(trace, alpha, spec)
         if not fit.feasible:
             break
-        outcome = evaluate(trace, alpha, spec, fit.plan, a=0.0)
-        out.append(Candidate(alpha, fit.plan, outcome.utilization, outcome.quality, (trace, spec, 0.0)))
+        # the fit keeps no arrays, so the schedule is built again (about 5 µs)
+        tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, fit.plan)
+        sigma = compute_utilization(trace, tx.bits_used_per_slot, _feasible_length(tx.frames_at_boundary, spec, trace.slot_duration))
+        out.append(Candidate(alpha, fit.plan, sigma, compute_quality(spec, fit.plan), (trace, spec, 0.0)))
     return out, examined
 
 
@@ -302,7 +311,7 @@ def exhaustive_best_plan(
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
     u0, due = session
     fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, L + 1)}
-    length = session_length(spec, _playback_ramp(u0, spec, dt)[0] * dt, ())
+    length = _feasible_length(u0, spec, dt)
     best = None  # (rho, sigma, plan) of the best plan so far
     nodes = 0
 

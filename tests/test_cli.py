@@ -552,6 +552,38 @@ class TestJobs:
             rows[jobs] = [{k: v for k, v in r.items() if k != "mean_runtime_s"} for r in _read_csv(out)[1]]
         assert rows["1"] == rows["2"]
 
+    def test_workers_capped_at_the_cells(self, runner, video_file, tmp_path, monkeypatch):
+        """A pool forks all its workers up front, so ``--jobs`` above the
+        number of cells starts one worker a cell; the rows stay those of one
+        job. The pool is a fake that maps in-process: no process starts."""
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        rows = {}
+        for jobs in ("1", "5000"):
+            out = tmp_path / f"bench-{jobs}.csv"
+            args = ["bench", "--video", video_file, "--periods", "2", "--n-traces", "2", "--jobs", jobs, "--out", str(out)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            rows[jobs] = [{k: v for k, v in r.items() if k != "mean_runtime_s"} for r in _read_csv(out)[1]]
+        assert started == [4]  # the 1 s baseline and the 2 s period, two traces each
+        assert rows["1"] == rows["5000"]
+
 
 class TestOutOfRangeTrace:
     @pytest.mark.parametrize("command", ["plan", "robustness"])
@@ -650,6 +682,16 @@ class TestUsageErrors:
         path.write_text(json.dumps(video))
         out = tmp_path / "r.json"
         args = ["plan", "--video", str(path), "--synthetic-seed", "0", "--a", "1", "--out", str(out)]
+        _assert_one_line_error(runner.invoke(main, args), 4)
+        assert not out.exists()
+
+    def test_deeply_nested_video_spec(self, runner, tmp_path):
+        """JSON nested deeper than the interpreter's recursion limit is a bad
+        spec, not a ``RecursionError`` traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "r.json"
+        args = ["plan", "--synthetic-seed", "0", "--video", str(path), "--a", "1", "--out", str(out)]
         _assert_one_line_error(runner.invoke(main, args), 4)
         assert not out.exists()
 

@@ -216,6 +216,22 @@ class TestCandidateSelection:
         with pytest.raises(NoFeasibleSessionError):
             select_candidate([], 1.0)
 
+    def test_enumeration_does_not_evaluate(self, monkeypatch):
+        """Each threshold is scored from one transmit of its fitted plan;
+        ``evaluate`` runs only when a candidate's outcome is read, and
+        ``plan_session`` reads only the selected one's."""
+        spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate_candidates called evaluate")
+
+        monkeypatch.setattr(planner, "evaluate", refuse)
+        cands, _ = enumerate_candidates(trace, spec)
+        assert len(cands) > 1
+        monkeypatch.setattr(planner, "evaluate", mock.Mock(wraps=evaluate))
+        plan_session(trace, spec, 4.5)
+        assert planner.evaluate.call_count == 1
+
     def test_window_shorter_than_video_raises(self, toy_spec):
         short = CapacityTrace(1.0, (100.0, 100.0))  # video plays 4 s
         with pytest.raises(NoFeasibleSessionError):

@@ -11,15 +11,19 @@ from hypothesis import Phase, assume, example, find, given, settings, strategies
 from abrplan import planner
 from abrplan import (
     CapacityTrace,
+    NoFeasibleSessionError,
     OracleBudgetError,
     QualityLevel,
     QualityPlan,
     VideoSpec,
     compute_cost,
     compute_quality,
+    default_trace_config,
+    default_video_spec,
     evaluate,
     exist_violation,
     fit_ascending_levels,
+    generate_synthetic,
     invest_threshold,
     make_threshold_schedule,
     transmit_video,
@@ -631,6 +635,32 @@ def test_due_frames_match_the_frame_search(n_segments, frames_per_segment, frame
     due = deadline_check(u, spec, dt)[1]
     assert due.dtype == np.int64
     assert np.array_equal(due, (np.arange(total) + _EPS).searchsorted(_playback_ramp(u, spec, dt)[1]))
+
+
+def assert_scores_are_evaluations(trace, spec, quantum_bits=None):
+    """Each enumerated candidate's σ and ρ are, to the last bit, the
+    utilization and quality of ``evaluate`` on its threshold and plan,
+    although the enumeration scores it from one transmit."""
+    try:
+        candidates, _ = planner.enumerate_candidates(trace, spec, quantum_bits)
+    except NoFeasibleSessionError:
+        assume(False)
+    for c in candidates:
+        outcome = evaluate(trace, c.alpha, spec, c.plan, a=0.0)
+        assert (c.sigma, c.rho) == (outcome.utilization, outcome.quality)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_candidate_scores_are_evaluations(instance):
+    trace, _, spec, _ = instance
+    assert_scores_are_evaluations(trace, spec)
+
+
+@pytest.mark.parametrize("quantum_bits", [None, 1e6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stock_candidate_scores_are_evaluations(seed, quantum_bits):
+    assert_scores_are_evaluations(generate_synthetic(default_trace_config(seed)), default_video_spec(), quantum_bits)
 
 
 @FAST
