@@ -38,7 +38,11 @@ answered from the frame deadlines (calls of the test that
 ``planner._suffix_lookup`` builds; 0 for a version without it), and
 ``*_extensions`` the arrivals the planner extends by one run step instead
 of simulating (calls of ``planner.extend_arrivals``; 0 for a version
-without it).
+without it), and ``*_deadline_checks`` the planner's calls of
+``deadline_check``, each of which builds a start-up, a playback ramp and a
+due-frame curve (0 for a version without it). A version whose fit checks
+each threshold on its own makes two a threshold examined; one that
+computes the window's due frames once makes about one an enumeration.
 ``seeds_digest`` hashes the 30 seeds' thresholds examined and candidates
 (threshold, plan, and the float hex of σ and ρ), so that two versions
 with the same results show the same digest.
@@ -158,11 +162,12 @@ def time_item(fn, repeats: int, number: int) -> dict:
     }
 
 
-def count_probes(ap, fn) -> tuple[int, int, int]:
-    """Simulated and looked-up probes, and extended arrivals, of the
-    planner while ``fn`` runs: its calls to the ``SIMULATED_PROBES``, to
-    the tests that ``_suffix_lookup`` builds, and to ``extend_arrivals``."""
-    counts = {"simulated": 0, "lookups": 0, "extensions": 0}
+def count_probes(ap, fn) -> dict:
+    """Simulated and looked-up probes, extended arrivals and deadline
+    checks of the planner while ``fn`` runs: its calls to the
+    ``SIMULATED_PROBES``, to the tests that ``_suffix_lookup`` builds, to
+    ``extend_arrivals`` and to ``deadline_check``."""
+    counts = {"simulated": 0, "lookups": 0, "extensions": 0, "deadline_checks": 0}
     planner = ap.planner
 
     def counted(key, original):
@@ -178,8 +183,9 @@ def count_probes(ap, fn) -> tuple[int, int, int]:
     patches = [(name, counted("simulated", getattr(planner, name))) for name in SIMULATED_PROBES if hasattr(planner, name)]
     if hasattr(planner, "_suffix_lookup"):
         patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
-    if hasattr(planner, "extend_arrivals"):
-        patches.append(("extend_arrivals", counted("extensions", planner.extend_arrivals)))
+    for name, key in (("extend_arrivals", "extensions"), ("deadline_check", "deadline_checks")):
+        if hasattr(planner, name):
+            patches.append((name, counted(key, getattr(planner, name))))
     originals = [(name, getattr(planner, name)) for name, _ in patches]
     for name, wrapper in patches:
         setattr(planner, name, wrapper)
@@ -188,7 +194,7 @@ def count_probes(ap, fn) -> tuple[int, int, int]:
     finally:
         for name, original in originals:
             setattr(planner, name, original)
-    return counts["simulated"], counts["lookups"], counts["extensions"]
+    return counts
 
 
 def enumerate_seeds(ap, spec, traces) -> list:
@@ -213,11 +219,9 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
 
     seed_traces = [ap.generate_synthetic(ap.default_trace_config(seed)) for seed in SEEDS]
     seed_results = enumerate_seeds(ap, spec, seed_traces)
-    enumerate_probes, enumerate_lookups, enumerate_extensions = count_probes(
-        ap, lambda: planner.enumerate_candidates(trace, spec)
-    )
-    fit_probes, fit_lookups, fit_extensions = count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec))
-    seeds_probes, seeds_lookups, seeds_extensions = count_probes(ap, lambda: enumerate_seeds(ap, spec, seed_traces))
+    enumerate_counts = count_probes(ap, lambda: planner.enumerate_candidates(trace, spec))
+    fit_counts = count_probes(ap, lambda: planner.fit_ascending_levels(trace, alpha, spec))
+    seeds_counts = count_probes(ap, lambda: enumerate_seeds(ap, spec, seed_traces))
 
     stock = ap.default_video_spec()
     oracle_spec = ap.VideoSpec(10, 4, 4.0, stock.levels[:4], 4)
@@ -228,27 +232,29 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     def oracle():
         return planner.exhaustive_best_plan(oracle_trace, oracle_alpha, oracle_spec, 0.0)
 
-    oracle_simulated, oracle_lookups, _ = count_probes(ap, oracle)
+    oracle_counts = count_probes(ap, oracle)
     counts = {
         "thresholds_examined": examined,
         "candidates": len(candidates),
-        "enumerate_probes": enumerate_probes,
-        "enumerate_lookups": enumerate_lookups,
-        "enumerate_extensions": enumerate_extensions,
-        "fit_probes": fit_probes,
-        "fit_lookups": fit_lookups,
-        "fit_extensions": fit_extensions,
+        "enumerate_probes": enumerate_counts["simulated"],
+        "enumerate_lookups": enumerate_counts["lookups"],
+        "enumerate_extensions": enumerate_counts["extensions"],
+        "enumerate_deadline_checks": enumerate_counts["deadline_checks"],
+        "fit_probes": fit_counts["simulated"],
+        "fit_lookups": fit_counts["lookups"],
+        "fit_extensions": fit_counts["extensions"],
         "selected_alpha": alpha,
         "seeds": len(SEEDS),
         "seeds_thresholds_examined": sum(examined for examined, _ in seed_results),
         "seeds_candidates": sum(len(cands) for _, cands in seed_results),
-        "seeds_probes": seeds_probes,
-        "seeds_lookups": seeds_lookups,
-        "seeds_extensions": seeds_extensions,
+        "seeds_probes": seeds_counts["simulated"],
+        "seeds_lookups": seeds_counts["lookups"],
+        "seeds_extensions": seeds_counts["extensions"],
+        "seeds_deadline_checks": seeds_counts["deadline_checks"],
         "seeds_digest": hashlib.sha256(repr(seed_results).encode()).hexdigest(),
         "oracle_nodes": oracle().nodes_visited,
-        "oracle_simulated": oracle_simulated,
-        "oracle_lookups": oracle_lookups,
+        "oracle_simulated": oracle_counts["simulated"],
+        "oracle_lookups": oracle_counts["lookups"],
     }
     items = {
         "probe": lambda: ap.exist_violation(trace, alpha, spec, plan),
@@ -261,7 +267,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     }
     timings = {name: time_item(fn, repeats, NUMBER[name]) for name, fn in items.items()}
     timings["fit_per_probe"] = {
-        key: value / (fit_probes + fit_lookups) if key.endswith("_s") else value
+        key: value / (counts["fit_probes"] + counts["fit_lookups"]) if key.endswith("_s") else value
         for key, value in timings["fit"].items()
     }
     timings["enumerate_30_seeds"] = time_item(

@@ -150,10 +150,15 @@ def _resolve_video(video_path) -> VideoSpec:
 
 def _resample(trace: CapacityTrace, slot_period) -> CapacityTrace:
     """The trace resampled to ``slot_period`` seconds a slot (as it is for
-    None); a usage error unless that is a whole number >= 1 of its slots."""
+    None); a usage error unless that is a whole number >= 1 of its slots
+    and the resampled window is a valid trace."""
     if slot_period is None:
         return trace
-    return coarsen(trace, _slot_factor(slot_period, trace.slot_duration))
+    factor = _slot_factor(slot_period, trace.slot_duration)
+    try:
+        return coarsen(trace, factor)
+    except ValueError as exc:
+        raise click.UsageError(f"cannot resample the trace to {slot_period} s slots: {exc}") from exc
 
 
 def _slot_factor(slot_period, slot_duration) -> int:

@@ -26,7 +26,8 @@ class CapacityTrace:
 
     Attributes:
         slot_duration: slot length in seconds (finite, > 0).
-        capacities: per-slot average capacity in bits/second (finite, >= 0).
+        capacities: per-slot average capacity in bits/second (finite, >= 0),
+            whose bit volume over the window is finite.
     """
 
     slot_duration: float
@@ -41,6 +42,9 @@ class CapacityTrace:
         for c in caps:
             if not math.isfinite(c) or c < 0:
                 raise ValueError(f"capacities must be finite and >= 0, got {c}")
+        if not math.isfinite(sum(caps) * self.slot_duration):
+            # the running sums of the capacities would overflow, and every volume with them
+            raise ValueError("the window's total bit volume (capacities summed, times the slot duration) must be finite")
         object.__setattr__(self, "capacities", caps)
 
     @cached_property

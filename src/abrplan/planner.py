@@ -36,7 +36,7 @@ from .model import (
 # the planner's transmits and extensions go through these names too, so that they can be counted
 from .sim import (
     _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, evaluate, exist_violation, extend_arrivals,
-    session_length, transmit_video,
+    meets_deadlines, session_length, transmit_video,
 )
 
 
@@ -128,7 +128,7 @@ def _suffix_lookup(due, curve, cost: float):
     """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
     in the slot after arrivals u reach f, has ``due[i]`` frames by each slot
     boundary i where more than f are due (see ``deadline_check``); ``due``
-    is the same for every feasible plan at one threshold."""
+    is the same for every feasible plan at every threshold of the window."""
     # latest[i] + f * cost: the furthest start that keeps up from boundary i on
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
@@ -144,6 +144,8 @@ def fit_ascending_levels(
     trace: CapacityTrace,
     alpha: float,
     spec: VideoSpec,
+    *,
+    due: Optional[np.ndarray] = None,
 ) -> LevelFit:
     """Heuristic quality assignment for a fixed threshold.
 
@@ -160,14 +162,24 @@ def fit_ascending_levels(
     feasible iff its level-s run meets its frames' deadlines. The fit
     transmits only the all-level-1 plan. After each placement it extends
     the arrivals by one run step (``extend_arrivals``), and its verdict is
-    ``deadline_check`` on the last arrivals.
+    ``meets_deadlines`` on the last arrivals.
+
+    The due frames come from ``deadline_check`` on the all-level-1
+    arrivals, or are given as ``due``: they are the same at every threshold
+    of the window, so a caller that has them from one threshold passes
+    them, and the fit then checks the all-level-1 arrivals with
+    ``meets_deadlines`` too.
     """
     n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
     schedule = make_threshold_schedule(trace, alpha)
     plan = QualityPlan.uniform(spec, 1)
-    if (session := deadline_check(transmit_video(trace, schedule, spec, plan).frames_at_boundary, spec, dt)) is None:
+    u = transmit_video(trace, schedule, spec, plan).frames_at_boundary
+    if due is None:
+        if (session := deadline_check(u, spec, dt)) is None:
+            return LevelFit(False, plan)
+        due = session[1]
+    elif not meets_deadlines(u, due):
         return LevelFit(False, plan)
-    u, due = session
     lookups = 0
     for s in range(2, spec.n_levels + 1):
         fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt)
@@ -186,13 +198,13 @@ def fit_ascending_levels(
             break  # level s placed nowhere; heavier levels cannot fit either
         plan = QualityPlan.from_runs(plan.runs + ((best, s),), n)
         u = extend_arrivals(trace, schedule, spec, u, best * fps, s)  # what the next level's probes extend
-    return LevelFit(deadline_check(u, spec, dt) is not None, plan, lookups)
+    return LevelFit(meets_deadlines(u, due), plan, lookups)
 
 
 def _feasible_length(u: np.ndarray, spec: VideoSpec, dt: float) -> float:
     """``evaluate``'s session length for feasible arrivals u: no stall, and
     start-up at the first boundary holding the prefetch frames, which every
-    feasible plan at one threshold shares."""
+    feasible plan at every threshold of the window shares."""
     return session_length(spec, _playback_ramp(u, spec, dt)[0] * dt, ())
 
 
@@ -206,7 +218,12 @@ def enumerate_candidates(
     threshold where even the lowest quality stalls. The ladder is every
     distinct capacity, or with ``quantum_bits`` the variable-footstep
     ladder that abandons that many bits per step. Returns the feasible
-    candidates (ascending threshold) and the number of thresholds examined."""
+    candidates (ascending threshold) and the number of thresholds examined.
+
+    The window's due frames and session length come once, from the
+    all-level-1 plan at the lowest threshold: every feasible plan at every
+    threshold starts playback in the same slot, so each fit is checked
+    against the one ``due`` and each candidate scored over the one length."""
     if spec.total_frames / spec.frame_rate > trace.window_length:
         raise NoFeasibleSessionError(
             "capacity window is shorter than the video playback time"
@@ -215,16 +232,23 @@ def enumerate_candidates(
         alphas = optimal_threshold_candidates(trace)
     else:
         alphas = invest_threshold_candidates(trace, quantum_bits)
+    dt = trace.slot_duration
+    u = transmit_video(trace, make_threshold_schedule(trace, alphas[0]), spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
+    if (session := deadline_check(u, spec, dt)) is None:
+        return [], 1  # the lowest threshold's all-level-1 plan stalls
+    due, length = session[1], _feasible_length(u, spec, dt)
     out: list[Candidate] = []
     examined = 0
     for alpha in alphas:
         examined += 1
-        fit = fit_ascending_levels(trace, alpha, spec)
+        fit = fit_ascending_levels(trace, alpha, spec, due=due)
         if not fit.feasible:
             break
-        # the fit keeps no arrays, so the schedule is built again (about 5 µs)
+        # the fit keeps no arrays, so the schedule is built again: about 8-9 µs a
+        # threshold, 4% of a stock-plan op; handing it over waits for perfbench
+        # to stop holding every op's report (ROADMAP, Known defect 3)
         tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, fit.plan)
-        sigma = compute_utilization(trace, tx.bits_used_per_slot, _feasible_length(tx.frames_at_boundary, spec, trace.slot_duration))
+        sigma = compute_utilization(trace, tx.bits_used_per_slot, length)
         out.append(Candidate(alpha, fit.plan, sigma, compute_quality(spec, fit.plan), (trace, spec, 0.0)))
     return out, examined
 

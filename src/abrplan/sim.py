@@ -231,6 +231,15 @@ def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Traje
     return Trajectory(watched, startup, events)
 
 
+def meets_deadlines(u: np.ndarray, due: np.ndarray) -> bool:
+    """Whether arrivals u never fall below the due frames: the comparison
+    that ends ``deadline_check``. With the ``due`` that check returned for
+    one plan, it is the whole check for any plan at any threshold of the
+    same window: due is the same for all of them and ends at the whole
+    video."""
+    return not (u < due).any()
+
+
 def deadline_check(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The stall check: arrivals u (a transmit's ``frames_at_boundary``)
     and their due frames if they deliver (reach the whole video) and play
@@ -238,16 +247,18 @@ def deadline_check(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[
     due[i] counts the frames g with g + _EPS below the playback ramp at
     checkpoint i (in closed form, so no array of frames is built), so frame
     g's deadline is the first checkpoint where due exceeds g, and the
-    session stalls iff u falls below due. due is the same for every plan at
-    one threshold: the start-up checkpoint depends only on the cache
-    segments, which stay at level 1."""
+    session stalls iff u falls below due (``meets_deadlines``). due is the
+    same for every plan at every threshold of one window: the start-up
+    checkpoint is where the arrivals reach the prefetch frames, inside the
+    cache segments, which stay at level 1 and are sent greedily on the
+    trace, not on the schedule."""
     if u[-1] < spec.total_frames:
         return None
     startup, ramp = _playback_ramp(u, spec, dt)
     if startup is None or ramp[-1] < spec.total_frames - _EPS:
         return None  # playback never starts, or the window ends before it finishes
     due = np.ceil(ramp - _EPS).clip(0, spec.total_frames).astype(np.int64)
-    return None if (u < due).any() else (u, due)
+    return (u, due) if meets_deadlines(u, due) else None
 
 
 def exist_violation(

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
 from abrplan import (
+    CapacityTrace,
     SyntheticTraceConfig,
     coarsen,
     default_trace_config,
@@ -227,6 +228,35 @@ class TestPlan:
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "capacities, slot",
+        [((1.7e308, 1.0) * 10, []), ((1e308,) * 20, ["--slot", "4"])],
+        ids=["alternating", "resampled"],
+    )
+    def test_window_volume_past_the_float_range_is_a_trace_error(self, runner, video_file, tmp_path, capacities, slot):
+        """A trace whose slots are each finite but whose total bit volume
+        overflows a float is refused on load, before the planner's running
+        sums overflow into a wrong plan or resampling averages to inf."""
+        trace = tmp_path / "huge.csv"
+        trace.write_text("# slot_duration=1.0\nslot_index,capacity_bps\n" + "".join(f"{i},{c!r}\n" for i, c in enumerate(capacities)))
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["plan", "--video", video_file, "--trace", str(trace), "--a", "1", *slot, "--out", str(out)])
+        _assert_one_line_error(result, 3)
+        assert "total bit volume" in result.output
+        assert not out.exists()
+
+    def test_resampled_volume_past_the_float_range_is_a_config_error(self, runner, video_file, tmp_path):
+        """A trailing partial group keeps its mean over the whole resampled
+        slot, so resampling can take a finite window volume past the float
+        range; that is a usage error on --slot, not a plan with σ = 0."""
+        trace = tmp_path / "tail.csv"
+        save_trace(CapacityTrace(1.0, (1.5e6,) * 16 + (1e308,)), trace)
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["plan", "--video", video_file, "--trace", str(trace), "--a", "1", "--slot", "4", "--out", str(out)])
+        _assert_one_line_error(result, 4)
+        assert "total bit volume" in result.output
+        assert not out.exists()
 
 
 class TestSweepA:

@@ -37,6 +37,21 @@ class TestCapacityTrace:
         with pytest.raises(ValueError):
             CapacityTrace(slot_duration=1.0, capacities=(float("inf"),))
 
+    @pytest.mark.parametrize(
+        "slot_duration, capacities",
+        [(1.0, (1.7e308, 1.0) * 10), (1.0, (1e308,) * 20), (2.0, (1e308,))],
+        ids=["alternating", "every-slot", "times-the-slot"],
+    )
+    def test_rejects_an_infinite_total_volume(self, slot_duration, capacities):
+        """Each capacity is finite, but the window's bit volume overflows a
+        float, and so would the running sums that transmission walks."""
+        with pytest.raises(ValueError, match="total bit volume"):
+            CapacityTrace(slot_duration=slot_duration, capacities=capacities)
+
+    def test_largest_finite_volume_is_legal(self):
+        t = CapacityTrace(slot_duration=1.0, capacities=(1.7e308 / 2, 1.7e308 / 2))
+        assert math.isfinite(t.cumulative[-1] * t.slot_duration)
+
     def test_zero_capacity_is_legal(self):
         t = CapacityTrace(slot_duration=1.0, capacities=(0.0, 1.0))
         assert t.capacities[0] == 0.0

@@ -18,6 +18,7 @@ from abrplan import (
     VideoSpec,
     compute_cost,
     compute_quality,
+    compute_utilization,
     default_trace_config,
     default_video_spec,
     evaluate,
@@ -28,7 +29,7 @@ from abrplan import (
     make_threshold_schedule,
     transmit_video,
 )
-from abrplan.sim import _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, extend_arrivals
+from abrplan.sim import _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, extend_arrivals, session_length
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -614,6 +615,83 @@ def test_feasible_plans_share_the_start_up_and_deadlines(instance):
     assert np.array_equal(due, due_lowest)
     startup = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
     assert startup == _trajectory_from_counts(tx_lowest.frames_at_boundary.astype(float), spec, dt).startup_checkpoint
+
+
+def ladder(trace, quantum_bits=None):
+    if quantum_bits is None:
+        return planner.optimal_threshold_candidates(trace)
+    return planner.invest_threshold_candidates(trace, quantum_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.floats(0.5, 50.0))
+def test_every_threshold_shares_the_lowest_thresholds_deadlines(instance, quantum_bits):
+    """What the enumeration's one ``due`` and one session length rest on:
+    at every threshold of a ladder, the all-level-1 plan and any ascending
+    plan that deadline_check passes have the due frames and the start-up
+    checkpoint of the all-level-1 plan at the ladder's lowest threshold;
+    and where that plan stalls, every plan at every threshold does. The fit
+    given those due frames returns what it does without them."""
+    trace, _, spec, plan = instance
+    lowest, dt = QualityPlan.uniform(spec, 1), trace.slot_duration
+    for quantum in (None, quantum_bits):
+        alphas = ladder(trace, quantum)
+        u = transmit_video(trace, make_threshold_schedule(trace, alphas[0]), spec, lowest).frames_at_boundary
+        base = deadline_check(u, spec, dt)
+        for alpha in alphas:
+            schedule = make_threshold_schedule(trace, alpha)
+            for p in (lowest, plan):
+                session = deadline_check(transmit_video(trace, schedule, spec, p).frames_at_boundary, spec, dt)
+                if session is None:
+                    continue
+                assert base is not None
+                assert np.array_equal(session[1], base[1])
+                assert _playback_ramp(session[0], spec, dt)[0] == _playback_ramp(base[0], spec, dt)[0]
+            if base is not None:
+                assert fit_ascending_levels(trace, alpha, spec, due=base[1]) == fit_ascending_levels(trace, alpha, spec)
+
+
+def per_threshold_enumeration(trace, spec, quantum_bits=None):
+    """The enumeration with a stall check of its own at every threshold:
+    the fit finds its due frames, the fitted plan's full transmit is
+    checked, and σ is taken over that transmit's own start-up. Returns
+    (the thresholds examined, then threshold, plan, σ and ρ of each
+    candidate)."""
+    out, examined, dt = [], 0, trace.slot_duration
+    for alpha in ladder(trace, quantum_bits):
+        examined += 1
+        fit = fit_ascending_levels(trace, alpha, spec)
+        tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, fit.plan)
+        session = deadline_check(tx.frames_at_boundary, spec, dt)
+        assert fit.feasible == (session is not None)
+        if session is None:
+            break
+        length = session_length(spec, _playback_ramp(session[0], spec, dt)[0] * dt, ())
+        out.append((alpha, fit.plan, compute_utilization(trace, tx.bits_used_per_slot, length), compute_quality(spec, fit.plan)))
+    return examined, out
+
+
+def assert_enumeration_checks_each_threshold(trace, spec, quantum_bits=None):
+    try:
+        candidates, examined = planner.enumerate_candidates(trace, spec, quantum_bits)
+    except NoFeasibleSessionError:
+        assume(False)
+    assert (examined, [(c.alpha, c.plan, c.sigma, c.rho) for c in candidates]) == per_threshold_enumeration(
+        trace, spec, quantum_bits
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.one_of(st.none(), st.floats(0.5, 50.0)))
+def test_enumeration_matches_a_check_at_every_threshold(instance, quantum_bits):
+    trace, _, spec, _ = instance
+    assert_enumeration_checks_each_threshold(trace, spec, quantum_bits)
+
+
+@pytest.mark.parametrize("quantum_bits", [None, 1e6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stock_enumeration_matches_a_check_at_every_threshold(seed, quantum_bits):
+    assert_enumeration_checks_each_threshold(generate_synthetic(default_trace_config(seed)), default_video_spec(), quantum_bits)
 
 
 @FAST
