@@ -28,7 +28,6 @@ from .planner import (
     OracleResult,
     PartitionedPlan,
     PlanResult,
-    detect_stall_segments,
     enumerate_candidates,
     exhaustive_best_plan,
     fit_ascending_levels,

@@ -35,57 +35,6 @@ from .traces import coarsen, generate_synthetic, load_trace, mean_trace, write_t
 
 SCHEMA_VERSION = 1
 
-PLAN_REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "schema",
-        "a",
-        "mode",
-        "alpha_th",
-        "utilization",
-        "quality",
-        "cost",
-        "plan",
-        "candidates_evaluated",
-        "benchmark",
-        "startup_slot",
-        "arrived_frames",
-        "watched_frames",
-        "bits_used_per_slot",
-        "metadata",
-    ],
-    "properties": {
-        "schema": {"const": f"abrplan.plan/{SCHEMA_VERSION}"},
-        "a": {"type": "number", "minimum": 0},
-        "mode": {"enum": ["optimal", "invest"]},
-        "alpha_th": {"type": "number", "minimum": 0},
-        "utilization": {"type": "number", "minimum": 0},
-        "quality": {"type": "number", "minimum": 0},
-        "cost": {"type": "number"},
-        "plan": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "candidates_evaluated": {"type": "integer", "minimum": 1},
-        "benchmark": {
-            "type": "object",
-            "required": ["alpha", "utilization", "quality", "cost"],
-        },
-        "startup_slot": {"type": "integer", "minimum": 0},
-        "arrived_frames": {"type": "array", "items": {"type": "number"}},
-        "watched_frames": {"type": "array", "items": {"type": "number"}},
-        "bits_used_per_slot": {"type": "array", "items": {"type": "number"}},
-        "metadata": {"type": "object"},
-    },
-}
-
-
-@functools.cache
-def _plan_report_validator():
-    """Built once, on the first report: ``jsonschema.validate`` would check
-    the schema itself on every report, and importing it costs megabytes."""
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(PLAN_REPORT_SCHEMA)
-
-
 _CSV_SCHEMAS = {
     "sweep_a": ("a", "alpha_th", "utilization", "quality", "cost"),
     "stall_scan": ("stall_segment", "stall_slot", "cost_before", "cost_after", "feasible"),
@@ -283,7 +232,6 @@ def cmd_plan(spec, trace, quantum, out, a_value):
         "bits_used_per_slot": list(outcome.bits_used_per_slot),
         "metadata": {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")},
     }
-    _plan_report_validator().validate(report)
     write_text_atomic(out, json.dumps(report, indent=2) + "\n")
     click.echo(f"alpha_th={result.alpha_th} cost={outcome.cost:.6g} -> {out}")
 

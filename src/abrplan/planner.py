@@ -35,7 +35,7 @@ from .model import (
 # exist_violation and evaluate stay importable from here: perfbench's tracer patches these names;
 # the planner's transmits and extensions go through these names too, so that they can be counted
 from .sim import (
-    _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, evaluate, exist_violation, extend_arrivals,
+    _EPS, _playback_ramp, deadline_check, evaluate, exist_violation, extend_arrivals,
     meets_deadlines, session_length, transmit_video,
 )
 
@@ -375,24 +375,6 @@ def exhaustive_best_plan(
     return OracleResult(alpha, plan, sigma, rho, (trace, spec, a), nodes)
 
 
-def detect_stall_segments(trace: CapacityTrace, spec: VideoSpec, k: int) -> tuple[int, ...]:
-    """Segments where stalls occur under lowest quality at full
-    utilization (threshold 0, i.e. greedy transmission)."""
-    tx = transmit_video(trace, make_threshold_schedule(trace, 0.0), spec, QualityPlan.uniform(spec, 1))
-    traj = _trajectory_from_counts(tx.frames_at_boundary.astype(float), spec, trace.slot_duration)
-    cuts = []
-    for cp, _ in traj.stall_events[:k]:
-        seg = int(traj.watched[cp] // spec.frames_per_segment) + 1
-        seg = max(2, min(seg, spec.n_segments))
-        if not cuts or seg > cuts[-1]:
-            cuts.append(seg)
-    if len(cuts) < k:
-        raise NoFeasibleSessionError(
-            f"only {len(cuts)} natural stall positions found, {k} requested"
-        )
-    return tuple(cuts)
-
-
 @dataclass(frozen=True)
 class PartitionedPlan:
     """A session planned as independent parts around tolerated stalls."""
@@ -416,7 +398,6 @@ def plan_with_stalls(
     """Split the video before each of the 1-based ``cuts`` segments into
     independent sessions, plan each on its remaining capacity window, and
     rescore utilization, quality and cost over the whole (longer) session.
-    ``detect_stall_segments`` gives the cuts where the stalls fall naturally.
 
     Each later part re-buffers from empty before resuming, mirroring the
     start-up rule, so its start-up delay is the stall duration.

@@ -104,7 +104,7 @@ def load_trace(path) -> CapacityTrace:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text is no trace export
         raise TraceFormatError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3 or not lines[0].startswith("# slot_duration="):

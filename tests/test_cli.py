@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
@@ -26,7 +25,9 @@ from abrplan import (
     relative_performance_error,
     save_trace,
 )
-from abrplan.cli import PLAN_REPORT_SCHEMA, load_video_spec, main
+from abrplan.cli import load_video_spec, main
+
+from plan_report import read_plan_report
 
 SMALL_VIDEO = {
     "n_segments": 12,
@@ -76,8 +77,7 @@ class TestPlan:
              "--a", "2.0", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        report = json.loads(out.read_text())
-        jsonschema.validate(report, PLAN_REPORT_SCHEMA)
+        report = read_plan_report(out)
         assert report["cost"] <= report["benchmark"]["cost"] + 1e-12
         assert len(report["plan"]) == SMALL_VIDEO["n_segments"]
 
@@ -91,7 +91,7 @@ class TestPlan:
                  "--a", a, "--out", str(out)],
             )
             assert result.exit_code == 0, result.output
-            alphas[a] = json.loads(out.read_text())["alpha_th"]
+            alphas[a] = read_plan_report(out)["alpha_th"]
         assert alphas["0"] >= alphas["2.0"]
 
     def test_missing_trace_is_io_error(self, runner, video_file, tmp_path):
@@ -129,14 +129,14 @@ class TestPlan:
         out = tmp_path / "r.json"
         args = ["plan", "--video", video_file, "--trace", trace_file, "--a", "1", "--out", str(out)]
         assert runner.invoke(main, args + ["--quantum-q", "2e6"]).exit_code == 0
-        report = json.loads(out.read_text())
+        report = read_plan_report(out)
         expected = plan_session(load_trace(trace_file), load_video_spec(video_file), 1.0, 2e6)
         assert report["mode"] == "invest"
         assert report["alpha_th"] == expected.alpha_th
         assert report["plan"] == list(expected.plan.segment_levels)
         assert report["candidates_evaluated"] == expected.candidates_evaluated
         assert runner.invoke(main, args).exit_code == 0
-        assert json.loads(out.read_text())["mode"] == "optimal"
+        assert read_plan_report(out)["mode"] == "optimal"
 
     def test_infeasible_exit_code(self, runner, video_file, tmp_path):
         # 4-slot window cannot play a 12 s video
@@ -177,6 +177,7 @@ class TestPlan:
              "--a", "1", "--out", str(tmp_path / "r.json")],
         )
         assert result.exit_code == 0, result.output
+        read_plan_report(tmp_path / "r.json")
 
     def test_huge_frame_count_plans(self, runner, tmp_path):
         """The stall check counts due frames without an array of the
@@ -186,7 +187,7 @@ class TestPlan:
         out = tmp_path / "r.json"
         result = runner.invoke(main, ["plan", "--video", str(video), "--synthetic-seed", "0", "--a", "4.5", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert json.loads(out.read_text())["plan"] == [1]
+        assert read_plan_report(out)["plan"] == [1]
 
     def test_slot_resampling(self, runner, video_file, trace_file, tmp_path):
         out = tmp_path / "r.json"
@@ -196,7 +197,7 @@ class TestPlan:
              "--a", "1", "--slot", "2", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        report = json.loads(out.read_text())
+        report = read_plan_report(out)
         assert len(report["bits_used_per_slot"]) == 8
         bad = runner.invoke(
             main,
@@ -288,7 +289,7 @@ class TestSweepA:
              "--a", "2", "--out", str(plan_out)],
         )
         _, rows = _read_csv(sweep_out)
-        report = json.loads(plan_out.read_text())
+        report = read_plan_report(plan_out)
         assert float(rows[0]["alpha_th"]) == report["alpha_th"]
         assert float(rows[0]["cost"]) == pytest.approx(report["cost"])
 
@@ -633,6 +634,19 @@ class TestOutOfRangeTrace:
         _assert_one_line_error(result, 3)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["plan", "robustness"])
+    def test_bytes_that_are_not_utf8(self, runner, video_file, tmp_path, command):
+        """A trace file that does not decode as UTF-8 is not a valid export."""
+        trace_dir = tmp_path / "realizations"
+        trace_dir.mkdir()
+        bad = trace_dir / "bad.csv"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        out = tmp_path / "out"
+        result = runner.invoke(main, _command_args(command, video_file, str(bad), trace_dir, out))
+        _assert_one_line_error(result, 3)
+        assert "cannot read" in result.output
+        assert not out.exists()
+
 
 _NUMERIC_FLAGS = [
     ("plan", "--a"), ("sweep-a", "--a"), ("stall-scan", "--a"), ("robustness", "--a"), ("bench", "--a"),
@@ -747,7 +761,7 @@ _GOOD = {
 }
 _BAD = {
     "--video": ["$missing", "$dir", "$junk", "$bad_video", ""],
-    "--trace": ["$missing", "$dir", "$junk", "$short_trace"],
+    "--trace": ["$missing", "$dir", "$junk", "$short_trace", "$not_utf8"],
     "--synthetic-seed": ["-1", "nan", "1.5", "x"],
     "--quantum-q": ["0", "-1", "nan", "inf", "x"],
     "--slot": ["0.5", "1.5", "0", "-2", "nan", "inf", "1e300", "x"],
@@ -821,12 +835,13 @@ def invocation_files(tmp_path_factory):
     (root / "bad_video.json").write_text(json.dumps(dict(SMALL_VIDEO, frame_rate=0)))
     (root / "junk.json").write_text("not, json or a trace\n")
     (root / "junk_dir" / "r0.csv").write_text("slot,capacity\n0,1\n")
+    (root / "not_utf8.csv").write_bytes(b"\xff\xfe\x00bad")
     save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 16, seed=3)), root / "trace.csv")
     save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 4, seed=0)), root / "short.csv")
     for seed in range(2):
         save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 16, seed=seed)), root / "realizations" / f"r{seed}.csv")
         save_trace(generate_synthetic(SyntheticTraceConfig(1.5e6, 12 + 4 * seed, seed=seed)), root / "mismatched" / f"r{seed}.csv")
-    names = {"video": "video.json", "bad_video": "bad_video.json", "junk": "junk.json", "trace": "trace.csv", "short_trace": "short.csv"}
+    names = {"video": "video.json", "bad_video": "bad_video.json", "junk": "junk.json", "trace": "trace.csv", "short_trace": "short.csv", "not_utf8": "not_utf8.csv"}
     paths = {key: str(root / name) for key, name in names.items()}
     paths.update({name: str(root / name) for name in ("dir", "realizations", "mismatched", "junk_dir", "missing")})
     return paths
@@ -836,8 +851,9 @@ def invocation_files(tmp_path_factory):
 @given(args=_invocations())
 def test_any_invocation_exits_cleanly(invocation_files, tmp_path_factory, args):
     """Whatever the flags, a command exits 0, 2, 3 or 4 without a
-    traceback, a failure prints one ``error:`` line, and every JSON file it
-    writes is strict JSON (no NaN or Infinity)."""
+    traceback, a failure prints one ``error:`` line, every JSON file it
+    writes is strict JSON (no NaN or Infinity), and a plan report matches
+    its schema."""
     work = tmp_path_factory.mktemp("run")
     out = work / ("result.json" if args[0] == "plan" else "result.csv")
     paths = dict(invocation_files, out=str(out), dump=str(work / "traj"))
@@ -850,6 +866,8 @@ def test_any_invocation_exits_cleanly(invocation_files, tmp_path_factory, args):
     if result.exit_code != 0:
         assert result.output.startswith("error: "), (args, result.output)
         assert result.output.count("\n") == 1, (args, result.output)
+    elif args[0] == "plan":
+        read_plan_report(out)
 
     def reject(constant):
         raise AssertionError(f"{args} wrote {constant} into JSON")
@@ -864,12 +882,18 @@ def test_version(runner):
     assert result.output == "abrplan, version 0.1.0\n"
 
 
-def test_import_leaves_jsonschema_unloaded():
-    """The report validator imports ``jsonschema`` when the first plan
-    report is validated, so importing the CLI does not pay for it."""
+def test_plan_runs_without_jsonschema(tmp_path):
+    """A stock ``plan`` from the checkout's ``src`` leaves ``jsonschema``
+    unloaded: the report's shape is checked by the tests, not at run time."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, abrplan.cli; assert abrplan.cli.__file__.startswith(sys.argv[1]); print('jsonschema' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, timeout=60)
+    out = tmp_path / "r.json"
+    code = (
+        "import sys, abrplan.cli; assert abrplan.cli.__file__.startswith(sys.argv[1]); "
+        "abrplan.cli.main(['plan', '--synthetic-seed', '0', '--a', '4.5', '--out', sys.argv[2]]); "
+        "print('jsonschema' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, src, str(out)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.endswith("\nFalse\n"), proc.stdout
+    assert read_plan_report(out)["mode"] == "optimal"

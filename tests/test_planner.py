@@ -19,7 +19,6 @@ from abrplan import (
     compute_quality,
     default_trace_config,
     default_video_spec,
-    detect_stall_segments,
     enumerate_candidates,
     evaluate,
     exhaustive_best_plan,
@@ -326,34 +325,17 @@ class TestExhaustiveOracle:
             assert res.outcome.quality >= compute_quality(spec, fit.plan) - 1e-12
 
 
-class TestStallPolicy:
-    """Where the stall-tolerant planner cuts the video when it takes the
-    natural stall positions."""
-
-    def test_detect_stall_segments(self, toy_spec):
-        # capacity dries up mid-session: lowest quality at full utilization stalls
-        trace = CapacityTrace(1.0, (16.0, 0.0, 0.0, 0.0, 16.0, 16.0, 16.0, 16.0))
-        cuts = detect_stall_segments(trace, toy_spec, 1)
-        assert len(cuts) == 1
-        assert 2 <= cuts[0] <= toy_spec.n_segments
-
-    def test_detect_raises_when_no_stalls(self, toy_spec, toy_trace):
-        with pytest.raises(NoFeasibleSessionError):
-            detect_stall_segments(toy_trace, toy_spec, 1)
-
-
 class TestPlanWithStalls:
     def test_k0_degenerates_to_plan_session(self, toy_spec, toy_trace):
         base = plan_session(toy_trace, toy_spec, 2.0)
         out = base.outcome
         length = session_length(toy_spec, out.startup_slot * toy_trace.slot_duration, out.stall_events)
-        for cuts in ((), detect_stall_segments(toy_trace, toy_spec, 0)):
-            split = plan_with_stalls(toy_trace, toy_spec, 2.0, cuts)
-            assert split.parts == (base,)
-            assert (split.utilization, split.quality, split.cost) == (out.utilization, out.quality, out.cost)
-            assert split.session_length == length
-            assert split.cut_segments == ()
-            assert split.part_start_slots == (0,)
+        split = plan_with_stalls(toy_trace, toy_spec, 2.0, ())
+        assert split.parts == (base,)
+        assert (split.utilization, split.quality, split.cost) == (out.utilization, out.quality, out.cost)
+        assert split.session_length == length
+        assert split.cut_segments == ()
+        assert split.part_start_slots == (0,)
 
     def test_infeasible_k0_is_part_0(self, toy_spec):
         starved = CapacityTrace(1.0, (1.0,) * 8)
