@@ -43,6 +43,10 @@ without it), and ``*_deadline_checks`` the planner's calls of
 due-frame curve (0 for a version without it). A version whose fit checks
 each threshold on its own makes two a threshold examined; one that
 computes the window's due frames once makes about one an enumeration.
+``*_schedules`` counts the planner's calls of ``make_threshold_schedule``:
+a version whose fit and scoring transmit each build the threshold's
+schedule makes about two a threshold examined, one that hands the fit its
+schedule makes one.
 ``seeds_digest`` hashes the 30 seeds' thresholds examined and candidates
 (threshold, plan, and the float hex of σ and ρ), so that two versions
 with the same results show the same digest.
@@ -163,11 +167,12 @@ def time_item(fn, repeats: int, number: int) -> dict:
 
 
 def count_probes(ap, fn) -> dict:
-    """Simulated and looked-up probes, extended arrivals and deadline
-    checks of the planner while ``fn`` runs: its calls to the
-    ``SIMULATED_PROBES``, to the tests that ``_suffix_lookup`` builds, to
-    ``extend_arrivals`` and to ``deadline_check``."""
-    counts = {"simulated": 0, "lookups": 0, "extensions": 0, "deadline_checks": 0}
+    """Simulated and looked-up probes, extended arrivals, deadline checks
+    and threshold schedules of the planner while ``fn`` runs: its calls to
+    the ``SIMULATED_PROBES``, to the tests that ``_suffix_lookup`` builds,
+    to ``extend_arrivals``, to ``deadline_check`` and to
+    ``make_threshold_schedule``."""
+    counts = {"simulated": 0, "lookups": 0, "extensions": 0, "deadline_checks": 0, "schedules": 0}
     planner = ap.planner
 
     def counted(key, original):
@@ -183,7 +188,11 @@ def count_probes(ap, fn) -> dict:
     patches = [(name, counted("simulated", getattr(planner, name))) for name in SIMULATED_PROBES if hasattr(planner, name)]
     if hasattr(planner, "_suffix_lookup"):
         patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
-    for name, key in (("extend_arrivals", "extensions"), ("deadline_check", "deadline_checks")):
+    for name, key in (
+        ("extend_arrivals", "extensions"),
+        ("deadline_check", "deadline_checks"),
+        ("make_threshold_schedule", "schedules"),
+    ):
         if hasattr(planner, name):
             patches.append((name, counted(key, getattr(planner, name))))
     originals = [(name, getattr(planner, name)) for name, _ in patches]
@@ -240,6 +249,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "enumerate_lookups": enumerate_counts["lookups"],
         "enumerate_extensions": enumerate_counts["extensions"],
         "enumerate_deadline_checks": enumerate_counts["deadline_checks"],
+        "enumerate_schedules": enumerate_counts["schedules"],
         "fit_probes": fit_counts["simulated"],
         "fit_lookups": fit_counts["lookups"],
         "fit_extensions": fit_counts["extensions"],
@@ -251,6 +261,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "seeds_lookups": seeds_counts["lookups"],
         "seeds_extensions": seeds_counts["extensions"],
         "seeds_deadline_checks": seeds_counts["deadline_checks"],
+        "seeds_schedules": seeds_counts["schedules"],
         "seeds_digest": hashlib.sha256(repr(seed_results).encode()).hexdigest(),
         "oracle_nodes": oracle().nodes_visited,
         "oracle_simulated": oracle_counts["simulated"],

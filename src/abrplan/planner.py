@@ -26,6 +26,7 @@ from .model import (
     CapacityTrace,
     QualityPlan,
     SessionOutcome,
+    ThresholdSchedule,
     VideoSpec,
     compute_cost,
     compute_quality,
@@ -124,18 +125,26 @@ class LevelFit:
     lookups: int = 0  # probes answered from the frame deadlines instead of simulated
 
 
-def _suffix_lookup(due, curve, cost: float):
+def _deadline_index(due: np.ndarray, spec: VideoSpec) -> np.ndarray:
+    """Per segment, the slot boundary where its first frame is due: the
+    first i with ``due[i]`` above it (see ``deadline_check``). It is the
+    same at every level and every threshold of the window."""
+    return due.searchsorted(np.arange(spec.n_segments) * spec.frames_per_segment, side="right")
+
+
+def _suffix_lookup(due, curve, cost: float, deadline_at, fps: int):
     """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
     in the slot after arrivals u reach f, has ``due[i]`` frames by each slot
     boundary i where more than f are due (see ``deadline_check``); ``due``
-    is the same for every feasible plan at every threshold of the window."""
+    is the same for every feasible plan at every threshold of the window.
+    f starts a segment, and its deadline is read from ``deadline_at``
+    (``_deadline_index``), not searched for on each lookup."""
     # latest[i] + f * cost: the furthest start that keeps up from boundary i on
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
     def fits(u, first: int) -> bool:
         k = int(u.searchsorted(first))  # slot the run starts in
-        deadline = int(due.searchsorted(first, side="right"))  # of frame ``first``
-        return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost + _EPS * cost
+        return k < len(curve) - 1 and curve[k] <= latest[deadline_at[first // fps]] + first * cost + _EPS * cost
 
     return fits
 
@@ -146,6 +155,7 @@ def fit_ascending_levels(
     spec: VideoSpec,
     *,
     due: Optional[np.ndarray] = None,
+    schedule: Optional[ThresholdSchedule] = None,
 ) -> LevelFit:
     """Heuristic quality assignment for a fixed threshold.
 
@@ -168,10 +178,14 @@ def fit_ascending_levels(
     arrivals, or are given as ``due``: they are the same at every threshold
     of the window, so a caller that has them from one threshold passes
     them, and the fit then checks the all-level-1 arrivals with
-    ``meets_deadlines`` too.
+    ``meets_deadlines`` too. Each segment's deadline is found once per fit
+    (``_deadline_index``), and every lookup reads it. The threshold's
+    schedule is built here, or given as ``schedule`` by a caller that
+    transmits on it too.
     """
     n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
-    schedule = make_threshold_schedule(trace, alpha)
+    if schedule is None:
+        schedule = make_threshold_schedule(trace, alpha)
     plan = QualityPlan.uniform(spec, 1)
     u = transmit_video(trace, schedule, spec, plan).frames_at_boundary
     if due is None:
@@ -181,8 +195,9 @@ def fit_ascending_levels(
     elif not meets_deadlines(u, due):
         return LevelFit(False, plan)
     lookups = 0
+    deadline_at = _deadline_index(due, spec)
     for s in range(2, spec.n_levels + 1):
-        fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt)
+        fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt, deadline_at, fps)
         lo = max(plan.runs[-1][0], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
@@ -233,21 +248,21 @@ def enumerate_candidates(
     else:
         alphas = invest_threshold_candidates(trace, quantum_bits)
     dt = trace.slot_duration
-    u = transmit_video(trace, make_threshold_schedule(trace, alphas[0]), spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
+    schedule = make_threshold_schedule(trace, alphas[0])
+    u = transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
     if (session := deadline_check(u, spec, dt)) is None:
         return [], 1  # the lowest threshold's all-level-1 plan stalls
     due, length = session[1], _feasible_length(u, spec, dt)
     out: list[Candidate] = []
     examined = 0
     for alpha in alphas:
+        if examined:  # the lowest threshold's schedule is built above
+            schedule = make_threshold_schedule(trace, alpha)
         examined += 1
-        fit = fit_ascending_levels(trace, alpha, spec, due=due)
+        fit = fit_ascending_levels(trace, alpha, spec, due=due, schedule=schedule)
         if not fit.feasible:
             break
-        # the fit keeps no arrays, so the schedule is built again: about 8-9 µs a
-        # threshold, 4% of a stock-plan op; handing it over waits for perfbench
-        # to stop holding every op's report (ROADMAP, Known defect 3)
-        tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, fit.plan)
+        tx = transmit_video(trace, schedule, spec, fit.plan)
         sigma = compute_utilization(trace, tx.bits_used_per_slot, length)
         out.append(Candidate(alpha, fit.plan, sigma, compute_quality(spec, fit.plan), (trace, spec, 0.0)))
     return out, examined
@@ -334,7 +349,8 @@ def exhaustive_best_plan(
     if (session := deadline_check(transmit_video(trace, schedule, spec, lowest).frames_at_boundary, spec, dt)) is None:
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
     u0, due = session
-    fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, L + 1)}
+    deadline_at = _deadline_index(due, spec)
+    fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt, deadline_at, fps) for s in range(2, L + 1)}
     length = _feasible_length(u0, spec, dt)
     best = None  # (rho, sigma, plan) of the best plan so far
     nodes = 0

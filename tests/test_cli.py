@@ -847,19 +847,16 @@ def invocation_files(tmp_path_factory):
     return paths
 
 
-@settings(max_examples=60, deadline=None)
-@given(args=_invocations())
-def test_any_invocation_exits_cleanly(invocation_files, tmp_path_factory, args):
-    """Whatever the flags, a command exits 0, 2, 3 or 4 without a
-    traceback, a failure prints one ``error:`` line, every JSON file it
-    writes is strict JSON (no NaN or Infinity), and a plan report matches
-    its schema."""
+def _assert_exits_cleanly(invocation_files, tmp_path_factory, args):
+    """Run ``args`` (a command and its flags, with ``$name`` fields) in a
+    fresh directory: it exits 0, 2, 3 or 4 without a traceback, a failure
+    prints one ``error:`` line, every JSON file it writes is strict JSON
+    (no NaN or Infinity), and a plan report matches its schema."""
     work = tmp_path_factory.mktemp("run")
     out = work / ("result.json" if args[0] == "plan" else "result.csv")
     paths = dict(invocation_files, out=str(out), dump=str(work / "traj"))
     args = [string.Template(a).safe_substitute(paths) for a in args]
     result = CliRunner().invoke(main, args)
-    event(f"{args[0]} exit {result.exit_code}")
     assert result.exit_code in (0, 2, 3, 4), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
     assert "Traceback" not in result.output
@@ -874,6 +871,37 @@ def test_any_invocation_exits_cleanly(invocation_files, tmp_path_factory, args):
 
     for path in work.rglob("*.json"):
         json.loads(path.read_text(), parse_constant=reject)
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_invocations())
+def test_any_invocation_exits_cleanly(invocation_files, tmp_path_factory, args):
+    """Whatever the flags, a command exits 0, 2, 3 or 4 without a
+    traceback, a failure prints one ``error:`` line, every JSON file it
+    writes is strict JSON (no NaN or Infinity), and a plan report matches
+    its schema."""
+    result = _assert_exits_cleanly(invocation_files, tmp_path_factory, args)
+    event(f"{args[0]} exit {result.exit_code}")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command in sorted(_REQUIRED)
+        for flag in _REQUIRED[command] + _OPTIONAL[command]
+        for value in _BAD[flag]
+    ],
+)
+def test_each_bad_value_exits_cleanly(invocation_files, tmp_path_factory, command, flag, value):
+    """Each bad value of each flag a command owns, once, with the command's
+    other required flags at their first valid value: the generated test
+    draws a given bad value too rarely to stand in for this."""
+    flags = {f: _GOOD[f][0] for f in _REQUIRED[command]}
+    flags[flag] = value
+    args = [command] + [token for f, v in flags.items() for token in (f, v)]
+    _assert_exits_cleanly(invocation_files, tmp_path_factory, args)
 
 
 def test_version(runner):

@@ -183,6 +183,16 @@ class TestFitAscendingLevels:
         assert transmits.call_count == 1
         assert extensions.call_count == fit.plan.runs[-1][1] - 1  # one per level placed
 
+    def test_one_schedule_per_threshold_examined(self):
+        """The enumeration builds each threshold's schedule once, for its
+        fit and its scoring transmit, and the lowest threshold's also serves
+        the window's due-frame transmit."""
+        spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
+        with mock.patch.object(planner, "make_threshold_schedule", wraps=planner.make_threshold_schedule) as builds:
+            candidates, examined = enumerate_candidates(trace, spec)
+        assert examined > len(candidates) > 100
+        assert [c.args[1] for c in builds.call_args_list] == planner.optimal_threshold_candidates(trace)[:examined]
+
 
 class TestCandidateSelection:
     def _candidates(self, toy_spec, toy_trace):

@@ -428,8 +428,9 @@ def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     too)."""
     schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
     due = deadline_check(transmit_video(trace, schedule, spec, plan).frames_at_boundary, spec, dt)[1]
-    levels, n = plan.segment_levels, spec.n_segments
-    fits = {s: suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt) for s in range(2, spec.n_levels + 1)}
+    levels, n, fps = plan.segment_levels, spec.n_segments, spec.frames_per_segment
+    deadline_at = planner._deadline_index(due, spec)
+    fits = {s: suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt, deadline_at, fps) for s in range(2, spec.n_levels + 1)}
     out = []
     for mid in range(spec.cache_segments, n):
         prefix = levels[:mid]
@@ -459,27 +460,25 @@ def test_lookup_matches_simulated_probe(instance):
     assert lookup_mismatches(*instance, planner._suffix_lookup) == []
 
 
-def _lookup_without_eps(due, curve, cost):
+def _lookup_without_eps(due, curve, cost, deadline_at, fps):
     """``planner._suffix_lookup`` without the _EPS * cost slack."""
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
     def fits(u, first):
         k = int(u.searchsorted(first))
-        deadline = int(due.searchsorted(first, side="right"))
-        return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost
+        return k < len(curve) - 1 and curve[k] <= latest[deadline_at[first // fps]] + first * cost
 
     return fits
 
 
-def _lookup_one_slot_early(due, curve, cost):
+def _lookup_one_slot_early(due, curve, cost, deadline_at, fps):
     """``planner._suffix_lookup`` with the run starting in the slot where
     the frames before it complete, one slot early."""
     latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
 
     def fits(u, first):
         k = int(u.searchsorted(first)) - 1
-        deadline = int(due.searchsorted(first, side="right"))
-        return k < len(curve) - 1 and curve[k] <= latest[deadline] + first * cost + _EPS * cost
+        return k < len(curve) - 1 and curve[k] <= latest[deadline_at[first // fps]] + first * cost + _EPS * cost
 
     return fits
 
@@ -491,6 +490,26 @@ def test_lookup_property_catches_broken_lookups(mutant):
         lambda instance: bool(lookup_mismatches(*instance, mutant)),
         settings=settings(max_examples=3000, derandomize=True, database=None, phases=[Phase.generate]),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_handed_over_schedule_and_deadline_index(instance):
+    """What the enumeration's one schedule per threshold and the fit's one
+    deadline index rest on: the fit given the threshold's schedule returns
+    what it returns when it builds the schedule itself, and the deadline
+    index read for each segment is the one a search of ``due`` finds."""
+    trace, alpha, spec, _ = instance
+    fit = fit_ascending_levels(trace, alpha, spec)
+    assert fit_ascending_levels(trace, alpha, spec, schedule=make_threshold_schedule(trace, alpha)) == fit
+    u = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
+    if (session := deadline_check(u, spec, trace.slot_duration)) is None:
+        return  # no due frames: the fit stops before its first lookup
+    due, fps = session[1], spec.frames_per_segment
+    deadline_at = planner._deadline_index(due, spec)
+    assert len(deadline_at) == spec.n_segments
+    for seg in range(spec.n_segments):
+        assert deadline_at[seg] == due.searchsorted(seg * fps, side="right")
 
 
 @FAST
