@@ -196,7 +196,7 @@ class _Group(click.Group):
             _fail(1, "aborted")
 
 
-@click.group(cls=_Group, no_args_is_help=False, context_settings={"auto_envvar_prefix": "ABRPLAN"})
+@click.group(cls=_Group, no_args_is_help=False)
 @click.version_option(version=__version__, prog_name="abrplan")
 def main():
     """Anticipative streaming planner experiment driver."""

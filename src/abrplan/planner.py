@@ -36,8 +36,7 @@ from .model import (
 # exist_violation and evaluate stay importable from here: perfbench's tracer patches these names;
 # the planner's transmits and extensions go through these names too, so that they can be counted
 from .sim import (
-    _EPS, _playback_ramp, deadline_check, evaluate, exist_violation, extend_arrivals,
-    meets_deadlines, session_length, transmit_video,
+    _EPS, deadline_check, evaluate, exist_violation, extend_arrivals, session_length, transmit_video,
 )
 
 
@@ -125,79 +124,66 @@ class LevelFit:
     lookups: int = 0  # probes answered from the frame deadlines instead of simulated
 
 
-def _deadline_index(due: np.ndarray, spec: VideoSpec) -> np.ndarray:
-    """Per segment, the slot boundary where its first frame is due: the
-    first i with ``due[i]`` above it (see ``deadline_check``). It is the
-    same at every level and every threshold of the window."""
-    return due.searchsorted(np.arange(spec.n_segments) * spec.frames_per_segment, side="right")
+@dataclass(frozen=True)
+class _Deadlines:
+    """What every threshold of one window shares: every feasible ascending
+    plan has the all-level-1 plan's start-up, due frames ``due`` (see
+    ``deadline_check``) and session ``length``, with no stall."""
+
+    due: np.ndarray
+    at: np.ndarray  # per segment, the first slot boundary i with due[i] above its first frame
+    length: float
+
+    def met_by(self, u: np.ndarray) -> bool:
+        """Whether arrivals u never fall below the due frames: the stall
+        check for any plan at any threshold of the window."""
+        return not (u < self.due).any()
 
 
-def _suffix_lookup(due, curve, cost: float, deadline_at, fps: int):
+def _window_deadlines(
+    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec
+) -> tuple[np.ndarray, Optional[_Deadlines]]:
+    """The all-level-1 plan's arrivals on ``schedule``, and the window's
+    ``_Deadlines`` from them, or None when that plan stalls (then so does
+    every plan on the schedule, and at every higher threshold)."""
+    dt = trace.slot_duration
+    u = transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
+    if (session := deadline_check(u, spec, dt)) is None:
+        return u, None
+    startup, due = session
+    at = due.searchsorted(np.arange(spec.n_segments) * spec.frames_per_segment, side="right")
+    return u, _Deadlines(due, at, session_length(spec, startup * dt, ()))
+
+
+def _suffix_lookup(window: _Deadlines, curve, cost: float, fps: int):
     """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
-    in the slot after arrivals u reach f, has ``due[i]`` frames by each slot
-    boundary i where more than f are due (see ``deadline_check``); ``due``
-    is the same for every feasible plan at every threshold of the window.
-    f starts a segment, and its deadline is read from ``deadline_at``
-    (``_deadline_index``), not searched for on each lookup."""
+    in the slot after arrivals u reach f, has ``window.due[i]`` frames by
+    each slot boundary i where more than f are due (see ``deadline_check``).
+    f starts a segment, and its deadline is read from ``window.at``, not
+    searched for on each lookup."""
+    at = window.at
     # latest[i] + f * cost: the furthest start that keeps up from boundary i on
-    latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
+    latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
 
     def fits(u, first: int) -> bool:
         k = int(u.searchsorted(first))  # slot the run starts in
-        return k < len(curve) - 1 and curve[k] <= latest[deadline_at[first // fps]] + first * cost + _EPS * cost
+        return k < len(curve) - 1 and curve[k] <= latest[at[first // fps]] + first * cost + _EPS * cost
 
     return fits
 
 
-def fit_ascending_levels(
-    trace: CapacityTrace,
-    alpha: float,
-    spec: VideoSpec,
-    *,
-    due: Optional[np.ndarray] = None,
-    schedule: Optional[ThresholdSchedule] = None,
+def _fit_levels(
+    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, u: np.ndarray, window: _Deadlines
 ) -> LevelFit:
-    """Heuristic quality assignment for a fixed threshold.
-
-    Starts with every segment at level 1 and, for each higher level in
-    turn, binary-searches a segment from which that level can run to the
-    end of the video without a stall. Feasibility is not monotone in that
-    segment, so the start found need not be the earliest: it is feasible,
-    and the segment before it is infeasible or is the search's lower bound
-    (the previous level's start, or the end of the cache). Cache segments
-    stay at level 1. Infeasible means even the all-level-1 session stalls.
-
-    A probe at segment ``mid`` (the current plan below it, level s from it
-    on) is one lookup: the current plan is feasible, so the probe is
-    feasible iff its level-s run meets its frames' deadlines. The fit
-    transmits only the all-level-1 plan. After each placement it extends
-    the arrivals by one run step (``extend_arrivals``), and its verdict is
-    ``meets_deadlines`` on the last arrivals.
-
-    The due frames come from ``deadline_check`` on the all-level-1
-    arrivals, or are given as ``due``: they are the same at every threshold
-    of the window, so a caller that has them from one threshold passes
-    them, and the fit then checks the all-level-1 arrivals with
-    ``meets_deadlines`` too. Each segment's deadline is found once per fit
-    (``_deadline_index``), and every lookup reads it. The threshold's
-    schedule is built here, or given as ``schedule`` by a caller that
-    transmits on it too.
-    """
+    """``fit_ascending_levels`` on the threshold's ``schedule``, given the
+    all-level-1 plan's arrivals u there and the window's deadlines."""
     n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
-    if schedule is None:
-        schedule = make_threshold_schedule(trace, alpha)
     plan = QualityPlan.uniform(spec, 1)
-    u = transmit_video(trace, schedule, spec, plan).frames_at_boundary
-    if due is None:
-        if (session := deadline_check(u, spec, dt)) is None:
-            return LevelFit(False, plan)
-        due = session[1]
-    elif not meets_deadlines(u, due):
+    if not window.met_by(u):
         return LevelFit(False, plan)
     lookups = 0
-    deadline_at = _deadline_index(due, spec)
     for s in range(2, spec.n_levels + 1):
-        fits = _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt, deadline_at, fps)
+        fits = _suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps)
         lo = max(plan.runs[-1][0], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
@@ -213,14 +199,32 @@ def fit_ascending_levels(
             break  # level s placed nowhere; heavier levels cannot fit either
         plan = QualityPlan.from_runs(plan.runs + ((best, s),), n)
         u = extend_arrivals(trace, schedule, spec, u, best * fps, s)  # what the next level's probes extend
-    return LevelFit(meets_deadlines(u, due), plan, lookups)
+    return LevelFit(window.met_by(u), plan, lookups)
 
 
-def _feasible_length(u: np.ndarray, spec: VideoSpec, dt: float) -> float:
-    """``evaluate``'s session length for feasible arrivals u: no stall, and
-    start-up at the first boundary holding the prefetch frames, which every
-    feasible plan at every threshold of the window shares."""
-    return session_length(spec, _playback_ramp(u, spec, dt)[0] * dt, ())
+def fit_ascending_levels(trace: CapacityTrace, alpha: float, spec: VideoSpec) -> LevelFit:
+    """Heuristic quality assignment for a fixed threshold.
+
+    Starts with every segment at level 1 and, for each higher level in
+    turn, binary-searches a segment from which that level can run to the
+    end of the video without a stall. Feasibility is not monotone in that
+    segment, so the start found need not be the earliest: it is feasible,
+    and the segment before it is infeasible or is the search's lower bound
+    (the previous level's start, or the end of the cache). Cache segments
+    stay at level 1. Infeasible means even the all-level-1 session stalls.
+
+    A probe at segment ``mid`` (the current plan below it, level s from it
+    on) is one lookup: the current plan is feasible, so the probe is
+    feasible iff its level-s run meets its frames' deadlines. The fit
+    transmits only the all-level-1 plan. After each placement it extends
+    the arrivals by one run step (``extend_arrivals``), and its verdict is
+    the window's deadline check on the last arrivals.
+    """
+    schedule = make_threshold_schedule(trace, alpha)
+    u, window = _window_deadlines(trace, schedule, spec)
+    if window is None:
+        return LevelFit(False, QualityPlan.uniform(spec, 1))
+    return _fit_levels(trace, schedule, spec, u, window)
 
 
 def enumerate_candidates(
@@ -235,10 +239,9 @@ def enumerate_candidates(
     ladder that abandons that many bits per step. Returns the feasible
     candidates (ascending threshold) and the number of thresholds examined.
 
-    The window's due frames and session length come once, from the
-    all-level-1 plan at the lowest threshold: every feasible plan at every
-    threshold starts playback in the same slot, so each fit is checked
-    against the one ``due`` and each candidate scored over the one length."""
+    The window's deadlines come once, from the all-level-1 plan at the
+    lowest threshold (``_window_deadlines``): each fit is checked against
+    them and each candidate scored over their session length."""
     if spec.total_frames / spec.frame_rate > trace.window_length:
         raise NoFeasibleSessionError(
             "capacity window is shorter than the video playback time"
@@ -247,36 +250,35 @@ def enumerate_candidates(
         alphas = optimal_threshold_candidates(trace)
     else:
         alphas = invest_threshold_candidates(trace, quantum_bits)
-    dt = trace.slot_duration
     schedule = make_threshold_schedule(trace, alphas[0])
-    u = transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
-    if (session := deadline_check(u, spec, dt)) is None:
+    u, window = _window_deadlines(trace, schedule, spec)
+    if window is None:
         return [], 1  # the lowest threshold's all-level-1 plan stalls
-    due, length = session[1], _feasible_length(u, spec, dt)
+    lowest = QualityPlan.uniform(spec, 1)
     out: list[Candidate] = []
     examined = 0
     for alpha in alphas:
-        if examined:  # the lowest threshold's schedule is built above
+        if examined:  # the lowest threshold's schedule and arrivals are built above
             schedule = make_threshold_schedule(trace, alpha)
+            u = transmit_video(trace, schedule, spec, lowest).frames_at_boundary
         examined += 1
-        fit = fit_ascending_levels(trace, alpha, spec, due=due, schedule=schedule)
+        fit = _fit_levels(trace, schedule, spec, u, window)
         if not fit.feasible:
             break
         tx = transmit_video(trace, schedule, spec, fit.plan)
-        sigma = compute_utilization(trace, tx.bits_used_per_slot, length)
+        sigma = compute_utilization(trace, tx.bits_used_per_slot, window.length)
         out.append(Candidate(alpha, fit.plan, sigma, compute_quality(spec, fit.plan), (trace, spec, 0.0)))
     return out, examined
 
 
 def select_candidate(candidates: Sequence[Candidate], a: float) -> Candidate:
-    """Argmin of utilization - a * quality; ties go to the smaller
-    threshold, then the lexicographically smaller plan."""
+    """Argmin of utilization - a * quality; a tie goes to the candidate
+    first in list order, which in an enumeration's ascending order is the
+    smaller threshold."""
     if not candidates:
         raise NoFeasibleSessionError("no feasible threshold candidate")
     best = None
     best_cost = None
-    # candidates arrive in ascending-threshold order, so keeping the first
-    # strict minimum realizes the smaller-threshold tie-break
     for cand in candidates:
         cost = compute_cost(cand.sigma, cand.rho, a)
         if best is None or cost < best_cost:
@@ -345,13 +347,10 @@ def exhaustive_best_plan(
         )
     fps, dt = spec.frames_per_segment, trace.slot_duration
     schedule = make_threshold_schedule(trace, alpha)
-    lowest = QualityPlan.uniform(spec, 1)
-    if (session := deadline_check(transmit_video(trace, schedule, spec, lowest).frames_at_boundary, spec, dt)) is None:
+    u0, window = _window_deadlines(trace, schedule, spec)
+    if window is None:
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
-    u0, due = session
-    deadline_at = _deadline_index(due, spec)
-    fits = {s: _suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt, deadline_at, fps) for s in range(2, L + 1)}
-    length = _feasible_length(u0, spec, dt)
+    fits = {s: _suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps) for s in range(2, L + 1)}
     best = None  # (rho, sigma, plan) of the best plan so far
     nodes = 0
 
@@ -360,7 +359,7 @@ def exhaustive_best_plan(
         rho = compute_quality(spec, plan)
         if best is not None and rho < best[0]:
             return  # cannot win: skip its transmit
-        sigma = compute_utilization(trace, transmit_video(trace, schedule, spec, plan).bits_used_per_slot, length)
+        sigma = compute_utilization(trace, transmit_video(trace, schedule, spec, plan).bits_used_per_slot, window.length)
         if best is None or (-rho, sigma) < (-best[0], best[1]) or (
             (rho, sigma) == best[:2] and plan.segment_levels < best[2].segment_levels
         ):
@@ -381,6 +380,7 @@ def exhaustive_best_plan(
             else:
                 dfs(child, u if child is plan else transmit_video(trace, schedule, spec, child).frames_at_boundary, pos + 1)
 
+    lowest = QualityPlan.uniform(spec, 1)
     if n_free == 0:
         consider(lowest)
     else:

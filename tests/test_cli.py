@@ -503,6 +503,17 @@ class TestBench:
             got = [float(row[c]) for c in ("accuracy_sigma", "accuracy_rho", "accuracy_cost")]
             assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_environment_sets_no_flag(self, video_file, tmp_path):
+        """Only the command line sets a flag: no variable named after a
+        parameter supplies --periods to bench or --slot to plan."""
+        runner = CliRunner(env={"ABRPLAN_BENCH_PERIODS": "2", "ABRPLAN_PLAN_SLOT_PERIOD": "2"})
+        result = runner.invoke(main, ["bench", "--video", video_file, "--out", str(tmp_path / "b.csv")])
+        assert result.exit_code == 4
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["plan", "--synthetic-seed", "0", "--a", "4.5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(out.read_text())["bits_used_per_slot"]) == 190
+
     @pytest.mark.parametrize("periods", ["1.5", "0.5", "1,2.5"])
     def test_fractional_period_is_a_usage_error(self, runner, video_file, tmp_path, periods):
         out = tmp_path / "bench.csv"

@@ -186,12 +186,16 @@ class TestFitAscendingLevels:
     def test_one_schedule_per_threshold_examined(self):
         """The enumeration builds each threshold's schedule once, for its
         fit and its scoring transmit, and the lowest threshold's also serves
-        the window's due-frame transmit."""
+        the window's due-frame transmit. It transmits each threshold's
+        all-level-1 plan once, the lowest threshold's for the window's
+        deadlines too, and each candidate's fitted plan once."""
         spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
-        with mock.patch.object(planner, "make_threshold_schedule", wraps=planner.make_threshold_schedule) as builds:
+        with mock.patch.object(planner, "make_threshold_schedule", wraps=planner.make_threshold_schedule) as builds, \
+                mock.patch.object(planner, "transmit_video", wraps=planner.transmit_video) as transmits:
             candidates, examined = enumerate_candidates(trace, spec)
         assert examined > len(candidates) > 100
         assert [c.args[1] for c in builds.call_args_list] == planner.optimal_threshold_candidates(trace)[:examined]
+        assert transmits.call_count == examined + len(candidates)
 
 
 class TestCandidateSelection:

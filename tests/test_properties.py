@@ -425,17 +425,17 @@ def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     arrivals of ``plan`` itself, as the level fit does (shape "fit"), or of
     the prefix run on at its last level, as the oracle's search does (shape
     "dfs"; that plan is no heavier and switches no more, so it is feasible
-    too)."""
+    too). The lookup takes the window's deadlines as the fit gets them."""
     schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
-    due = deadline_check(transmit_video(trace, schedule, spec, plan).frames_at_boundary, spec, dt)[1]
+    window = planner._window_deadlines(trace, schedule, spec)[1]
     levels, n, fps = plan.segment_levels, spec.n_segments, spec.frames_per_segment
-    deadline_at = planner._deadline_index(due, spec)
-    fits = {s: suffix_lookup(due, schedule.cumulative, spec.frame_bits(s) / dt, deadline_at, fps) for s in range(2, spec.n_levels + 1)}
+    fits = {s: suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps) for s in range(2, spec.n_levels + 1)}
     out = []
     for mid in range(spec.cache_segments, n):
         prefix = levels[:mid]
         for shape, base in (("fit", plan), ("dfs", QualityPlan(prefix + prefix[-1:] * (n - mid)))):
-            u = deadline_check(transmit_video(trace, schedule, spec, base).frames_at_boundary, spec, dt)[0]
+            u = transmit_video(trace, schedule, spec, base).frames_at_boundary
+            assert deadline_check(u, spec, dt) is not None
             for s in range(prefix[-1] + 1, spec.n_levels + 1):
                 probe = QualityPlan(prefix + (s,) * (n - mid))
                 if fits[s](u, mid * spec.frames_per_segment) == exist_violation(trace, alpha, spec, probe):
@@ -460,25 +460,25 @@ def test_lookup_matches_simulated_probe(instance):
     assert lookup_mismatches(*instance, planner._suffix_lookup) == []
 
 
-def _lookup_without_eps(due, curve, cost, deadline_at, fps):
+def _lookup_without_eps(window, curve, cost, fps):
     """``planner._suffix_lookup`` without the _EPS * cost slack."""
-    latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
+    latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
 
     def fits(u, first):
         k = int(u.searchsorted(first))
-        return k < len(curve) - 1 and curve[k] <= latest[deadline_at[first // fps]] + first * cost
+        return k < len(curve) - 1 and curve[k] <= latest[window.at[first // fps]] + first * cost
 
     return fits
 
 
-def _lookup_one_slot_early(due, curve, cost, deadline_at, fps):
+def _lookup_one_slot_early(window, curve, cost, fps):
     """``planner._suffix_lookup`` with the run starting in the slot where
     the frames before it complete, one slot early."""
-    latest = np.minimum.accumulate((curve - due * cost)[::-1])[::-1]
+    latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
 
     def fits(u, first):
         k = int(u.searchsorted(first)) - 1
-        return k < len(curve) - 1 and curve[k] <= latest[deadline_at[first // fps]] + first * cost + _EPS * cost
+        return k < len(curve) - 1 and curve[k] <= latest[window.at[first // fps]] + first * cost + _EPS * cost
 
     return fits
 
@@ -494,22 +494,17 @@ def test_lookup_property_catches_broken_lookups(mutant):
 
 @settings(max_examples=300, deadline=None)
 @given(small_instances())
-def test_handed_over_schedule_and_deadline_index(instance):
-    """What the enumeration's one schedule per threshold and the fit's one
-    deadline index rest on: the fit given the threshold's schedule returns
-    what it returns when it builds the schedule itself, and the deadline
-    index read for each segment is the one a search of ``due`` finds."""
+def test_segment_deadlines_are_searches_of_due(instance):
+    """What the lookups' one deadline per segment rests on: the deadline
+    the window's value holds for each segment is the one a search of
+    ``due`` finds."""
     trace, alpha, spec, _ = instance
-    fit = fit_ascending_levels(trace, alpha, spec)
-    assert fit_ascending_levels(trace, alpha, spec, schedule=make_threshold_schedule(trace, alpha)) == fit
-    u = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
-    if (session := deadline_check(u, spec, trace.slot_duration)) is None:
+    window = planner._window_deadlines(trace, make_threshold_schedule(trace, alpha), spec)[1]
+    if window is None:
         return  # no due frames: the fit stops before its first lookup
-    due, fps = session[1], spec.frames_per_segment
-    deadline_at = planner._deadline_index(due, spec)
-    assert len(deadline_at) == spec.n_segments
+    assert len(window.at) == spec.n_segments
     for seg in range(spec.n_segments):
-        assert deadline_at[seg] == due.searchsorted(seg * fps, side="right")
+        assert window.at[seg] == window.due.searchsorted(seg * spec.frames_per_segment, side="right")
 
 
 @FAST
@@ -650,12 +645,13 @@ def test_every_threshold_shares_the_lowest_thresholds_deadlines(instance, quantu
     plan that deadline_check passes have the due frames and the start-up
     checkpoint of the all-level-1 plan at the ladder's lowest threshold;
     and where that plan stalls, every plan at every threshold does. The fit
-    given those due frames returns what it does without them."""
+    core on the lowest threshold's deadlines returns the public fit's
+    result."""
     trace, _, spec, plan = instance
     lowest, dt = QualityPlan.uniform(spec, 1), trace.slot_duration
     for quantum in (None, quantum_bits):
         alphas = ladder(trace, quantum)
-        u = transmit_video(trace, make_threshold_schedule(trace, alphas[0]), spec, lowest).frames_at_boundary
+        u, window = planner._window_deadlines(trace, make_threshold_schedule(trace, alphas[0]), spec)
         base = deadline_check(u, spec, dt)
         for alpha in alphas:
             schedule = make_threshold_schedule(trace, alpha)
@@ -665,9 +661,11 @@ def test_every_threshold_shares_the_lowest_thresholds_deadlines(instance, quantu
                     continue
                 assert base is not None
                 assert np.array_equal(session[1], base[1])
-                assert _playback_ramp(session[0], spec, dt)[0] == _playback_ramp(base[0], spec, dt)[0]
+                assert session[0] == base[0]
             if base is not None:
-                assert fit_ascending_levels(trace, alpha, spec, due=base[1]) == fit_ascending_levels(trace, alpha, spec)
+                u_alpha = transmit_video(trace, schedule, spec, lowest).frames_at_boundary
+                fit = planner._fit_levels(trace, schedule, spec, u_alpha, window)
+                assert fit == fit_ascending_levels(trace, alpha, spec)
 
 
 def per_threshold_enumeration(trace, spec, quantum_bits=None):
@@ -685,7 +683,7 @@ def per_threshold_enumeration(trace, spec, quantum_bits=None):
         assert fit.feasible == (session is not None)
         if session is None:
             break
-        length = session_length(spec, _playback_ramp(session[0], spec, dt)[0] * dt, ())
+        length = session_length(spec, session[0] * dt, ())
         out.append((alpha, fit.plan, compute_utilization(trace, tx.bits_used_per_slot, length), compute_quality(spec, fit.plan)))
     return examined, out
 
