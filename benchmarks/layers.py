@@ -47,6 +47,11 @@ computes the window's due frames once makes about one an enumeration.
 a version whose fit and scoring transmit each build the threshold's
 schedule makes about two a threshold examined, one that hands the fit its
 schedule makes one.
+``*_cache_runs`` counts the window's greedy cache runs (calls of
+``planner._lowest_arrivals``) and ``*_continuations`` the run steps that
+give a threshold's all-level-1 arrivals from one (calls of what it
+returns); both are 0 for a version that transmits the all-level-1 plan
+instead, whose transmits count as simulated sessions.
 ``seeds_digest`` hashes the 30 seeds' thresholds examined and candidates
 (threshold, plan, and the float hex of σ and ρ), so that two versions
 with the same results show the same digest.
@@ -167,12 +172,16 @@ def time_item(fn, repeats: int, number: int) -> dict:
 
 
 def count_probes(ap, fn) -> dict:
-    """Simulated and looked-up probes, extended arrivals, deadline checks
-    and threshold schedules of the planner while ``fn`` runs: its calls to
-    the ``SIMULATED_PROBES``, to the tests that ``_suffix_lookup`` builds,
-    to ``extend_arrivals``, to ``deadline_check`` and to
-    ``make_threshold_schedule``."""
-    counts = {"simulated": 0, "lookups": 0, "extensions": 0, "deadline_checks": 0, "schedules": 0}
+    """Simulated and looked-up probes, extended arrivals, deadline checks,
+    threshold schedules, cache runs and their continuations of the planner
+    while ``fn`` runs: its calls to the ``SIMULATED_PROBES``, to the tests
+    that ``_suffix_lookup`` builds, to ``extend_arrivals``, to
+    ``deadline_check``, to ``make_threshold_schedule``, to
+    ``_lowest_arrivals`` and to the arrivals it builds."""
+    counts = {
+        "simulated": 0, "lookups": 0, "extensions": 0, "deadline_checks": 0, "schedules": 0,
+        "cache_runs": 0, "continuations": 0,
+    }
     planner = ap.planner
 
     def counted(key, original):
@@ -188,6 +197,9 @@ def count_probes(ap, fn) -> dict:
     patches = [(name, counted("simulated", getattr(planner, name))) for name in SIMULATED_PROBES if hasattr(planner, name)]
     if hasattr(planner, "_suffix_lookup"):
         patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
+    if hasattr(planner, "_lowest_arrivals"):
+        build = planner._lowest_arrivals
+        patches.append(("_lowest_arrivals", counted("cache_runs", lambda *args: counted("continuations", build(*args)))))
     for name, key in (
         ("extend_arrivals", "extensions"),
         ("deadline_check", "deadline_checks"),
@@ -250,9 +262,13 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "enumerate_extensions": enumerate_counts["extensions"],
         "enumerate_deadline_checks": enumerate_counts["deadline_checks"],
         "enumerate_schedules": enumerate_counts["schedules"],
+        "enumerate_cache_runs": enumerate_counts["cache_runs"],
+        "enumerate_continuations": enumerate_counts["continuations"],
         "fit_probes": fit_counts["simulated"],
         "fit_lookups": fit_counts["lookups"],
         "fit_extensions": fit_counts["extensions"],
+        "fit_cache_runs": fit_counts["cache_runs"],
+        "fit_continuations": fit_counts["continuations"],
         "selected_alpha": alpha,
         "seeds": len(SEEDS),
         "seeds_thresholds_examined": sum(examined for examined, _ in seed_results),
@@ -262,10 +278,13 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "seeds_extensions": seeds_counts["extensions"],
         "seeds_deadline_checks": seeds_counts["deadline_checks"],
         "seeds_schedules": seeds_counts["schedules"],
+        "seeds_cache_runs": seeds_counts["cache_runs"],
+        "seeds_continuations": seeds_counts["continuations"],
         "seeds_digest": hashlib.sha256(repr(seed_results).encode()).hexdigest(),
         "oracle_nodes": oracle().nodes_visited,
         "oracle_simulated": oracle_counts["simulated"],
         "oracle_lookups": oracle_counts["lookups"],
+        "oracle_cache_runs": oracle_counts["cache_runs"],
     }
     items = {
         "probe": lambda: ap.exist_violation(trace, alpha, spec, plan),

@@ -17,7 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,9 @@ from .model import (
     make_threshold_schedule,
 )
 # exist_violation and evaluate stay importable from here: perfbench's tracer patches these names;
-# the planner's transmits and extensions go through these names too, so that they can be counted
+# the planner's transmits, extensions and cache runs go through these names too, so that they can be counted
 from .sim import (
-    _EPS, deadline_check, evaluate, exist_violation, extend_arrivals, session_length, transmit_video,
+    _EPS, _lowest_arrivals, deadline_check, evaluate, exist_violation, extend_arrivals, session_length, transmit_video,
 )
 
 
@@ -125,11 +125,15 @@ class LevelFit:
 
 
 @dataclass(frozen=True)
-class _Deadlines:
-    """What every threshold of one window shares: every feasible ascending
-    plan has the all-level-1 plan's start-up, due frames ``due`` (see
-    ``deadline_check``) and session ``length``, with no stall."""
+class _Window:
+    """What every threshold of one window shares: the all-level-1 plan's
+    greedy cache run, from which ``lowest_arrivals(schedule)`` gives that
+    plan's arrivals on a threshold's schedule (see ``sim._lowest_arrivals``),
+    and every feasible ascending plan has the all-level-1 plan's start-up,
+    due frames ``due`` (see ``deadline_check``) and session ``length``, with
+    no stall."""
 
+    lowest_arrivals: Callable[[ThresholdSchedule], np.ndarray]
     due: np.ndarray
     at: np.ndarray  # per segment, the first slot boundary i with due[i] above its first frame
     length: float
@@ -142,20 +146,22 @@ class _Deadlines:
 
 def _window_deadlines(
     trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec
-) -> tuple[np.ndarray, Optional[_Deadlines]]:
-    """The all-level-1 plan's arrivals on ``schedule``, and the window's
-    ``_Deadlines`` from them, or None when that plan stalls (then so does
+) -> tuple[np.ndarray, Optional[_Window]]:
+    """The all-level-1 plan's arrivals on ``schedule``, from the window's
+    one greedy cache run and one run step on the schedule, and the window's
+    ``_Window`` from them, or None when that plan stalls (then so does
     every plan on the schedule, and at every higher threshold)."""
     dt = trace.slot_duration
-    u = transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
+    lowest = _lowest_arrivals(trace, spec)
+    u = lowest(schedule)
     if (session := deadline_check(u, spec, dt)) is None:
         return u, None
     startup, due = session
     at = due.searchsorted(np.arange(spec.n_segments) * spec.frames_per_segment, side="right")
-    return u, _Deadlines(due, at, session_length(spec, startup * dt, ()))
+    return u, _Window(lowest, due, at, session_length(spec, startup * dt, ()))
 
 
-def _suffix_lookup(window: _Deadlines, curve, cost: float, fps: int):
+def _suffix_lookup(window: _Window, curve, cost: float, fps: int):
     """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
     in the slot after arrivals u reach f, has ``window.due[i]`` frames by
     each slot boundary i where more than f are due (see ``deadline_check``).
@@ -173,7 +179,7 @@ def _suffix_lookup(window: _Deadlines, curve, cost: float, fps: int):
 
 
 def _fit_levels(
-    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, u: np.ndarray, window: _Deadlines
+    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, u: np.ndarray, window: _Window
 ) -> LevelFit:
     """``fit_ascending_levels`` on the threshold's ``schedule``, given the
     all-level-1 plan's arrivals u there and the window's deadlines."""
@@ -216,9 +222,11 @@ def fit_ascending_levels(trace: CapacityTrace, alpha: float, spec: VideoSpec) ->
     A probe at segment ``mid`` (the current plan below it, level s from it
     on) is one lookup: the current plan is feasible, so the probe is
     feasible iff its level-s run meets its frames' deadlines. The fit
-    transmits only the all-level-1 plan. After each placement it extends
-    the arrivals by one run step (``extend_arrivals``), and its verdict is
-    the window's deadline check on the last arrivals.
+    transmits no plan: the all-level-1 plan's arrivals are the window's
+    greedy cache run plus one run step on the schedule, and after each
+    placement it extends the arrivals by one run step
+    (``extend_arrivals``). Its verdict is the window's deadline check on
+    the last arrivals.
     """
     schedule = make_threshold_schedule(trace, alpha)
     u, window = _window_deadlines(trace, schedule, spec)
@@ -239,9 +247,11 @@ def enumerate_candidates(
     ladder that abandons that many bits per step. Returns the feasible
     candidates (ascending threshold) and the number of thresholds examined.
 
-    The window's deadlines come once, from the all-level-1 plan at the
-    lowest threshold (``_window_deadlines``): each fit is checked against
-    them and each candidate scored over their session length."""
+    The window's shared value comes once, from the all-level-1 plan at the
+    lowest threshold (``_window_deadlines``): each threshold's all-level-1
+    arrivals are its greedy cache run plus one run step on the threshold's
+    schedule, each fit is checked against its deadlines, and each candidate
+    is scored from one transmit of its plan over its session length."""
     if spec.total_frames / spec.frame_rate > trace.window_length:
         raise NoFeasibleSessionError(
             "capacity window is shorter than the video playback time"
@@ -254,13 +264,12 @@ def enumerate_candidates(
     u, window = _window_deadlines(trace, schedule, spec)
     if window is None:
         return [], 1  # the lowest threshold's all-level-1 plan stalls
-    lowest = QualityPlan.uniform(spec, 1)
     out: list[Candidate] = []
     examined = 0
     for alpha in alphas:
         if examined:  # the lowest threshold's schedule and arrivals are built above
             schedule = make_threshold_schedule(trace, alpha)
-            u = transmit_video(trace, schedule, spec, lowest).frames_at_boundary
+            u = window.lowest_arrivals(schedule)
         examined += 1
         fit = _fit_levels(trace, schedule, spec, u, window)
         if not fit.feasible:
@@ -335,9 +344,11 @@ def exhaustive_best_plan(
 
     A node keeps or raises its parent's level from its segment on. Kept,
     it is the parent's plan, which is feasible; raised, it is feasible iff
-    one lookup on the parent's arrivals says so, as in the level fit. Only
-    a raising node with children, and a leaf that may win, is transmitted.
-    Feasible plans all start playback in one slot: one session length.
+    one lookup on the parent's arrivals says so, as in the level fit. The
+    root's all-level-1 arrivals come with the window's value, from its
+    greedy cache run and one run step, so only a raising node with
+    children, and a leaf that may win, is transmitted. Feasible plans all
+    start playback in one slot: one session length.
     """
     n, L = spec.n_segments, spec.n_levels
     n_free = n - spec.cache_segments

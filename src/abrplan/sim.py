@@ -83,6 +83,50 @@ def _run_counts(counts: np.ndarray, cum: np.ndarray, start: float, f: int, run_e
     return stop, j, pos
 
 
+def _next_start(done, nxt, stop: float, j: int, keeps_level: bool) -> tuple[int, float]:
+    """The continuation rule: after a run completes at position ``stop`` on
+    the cumulative-capacity curve of its phase ``done``, by boundary j, the
+    slot k the next run starts in and its start on the curve of its own
+    phase ``nxt``. The rest of the completing slot is wasted, so the next
+    run starts where the slot after begins, unless it keeps the level (only
+    where the cache phase ends) and the slot has room left: then it starts
+    as far into the slot as the run before it ended. It writes the
+    boundaries from k + 1 on; those before its first frame clamp to its
+    start, so a wasted slot's end reads what was delivered before it."""
+    k = j - 1  # slot the run completes in
+    used = (stop - done.cumulative[k]) / done.as_array[k]
+    if keeps_level and used < 1 - _EPS:
+        return k, float(nxt.cumulative[k] + nxt.as_array[k] * used)
+    return j, float(nxt.cumulative[j])
+
+
+def _lowest_arrivals(trace: CapacityTrace, spec: VideoSpec):
+    """``arrivals(schedule)``: the all-level-1 plan's ``frames_at_boundary``
+    under a schedule built on ``trace``, as ``transmit_video`` gives them.
+    That plan's cache run is sent greedily on the trace, so it is the same
+    under every schedule: it is one run step here, and each call adds one
+    run step on the schedule for the frames after the cache, started by the
+    continuation rule (``_next_start``) where the cache run completes."""
+    n_slots, total = trace.n_slots, spec.total_frames
+    n_cache = spec.cache_segments * spec.frames_per_segment
+    cost = spec.frame_bits(1) / trace.slot_duration
+    cache = np.zeros(n_slots + 1, dtype=np.int64)
+    stop, j, _ = _run_counts(cache, trace.cumulative, 0.0, 0, n_cache, cost, 1)
+    cache[j + 1 :] = n_cache
+    if j > n_slots or n_cache == total:
+        return lambda schedule: cache.copy()  # nothing is sent on the schedule
+
+    def arrivals(schedule: ThresholdSchedule) -> np.ndarray:
+        u = cache.copy()
+        k, start = _next_start(trace, schedule, stop, j, True)
+        if k < n_slots:
+            _, end, _ = _run_counts(u, schedule.cumulative, start, n_cache, total, cost, k + 1)
+            u[end + 1 :] = total
+        return u
+
+    return arrivals
+
+
 def transmit_video(
     trace: CapacityTrace,
     schedule: ThresholdSchedule,
@@ -96,10 +140,9 @@ def transmit_video(
     Delivery goes one run (see ``_runs``) at a time, each one run step
     (``_run_counts``, which ``extend_arrivals`` shares). A run starts at a
     position on the cumulative-capacity curve of its phase: the trace for
-    greedy cache traffic, the schedule otherwise. The rest of the slot it
-    completes in is wasted, so the next run starts in the slot after,
-    unless it keeps the level, which happens only where the cache phase
-    ends.
+    greedy cache traffic, the schedule otherwise. Where the next run starts
+    is the continuation rule, ``_next_start``, which ``_lowest_arrivals``
+    shares.
     """
     plan.validate(spec)
     if schedule.as_array.shape != trace.as_array.shape:
@@ -113,31 +156,22 @@ def transmit_video(
     # positions and frame costs are in bits / dt, so the cached running sums
     # of the rates serve as the cumulative-capacity curves without scaling
     f, base = 0, 0.0  # frames and bits delivered before the current run
-    k, used = 0, 0.0  # slot the current run starts in, fraction of it already used
-    first = 1  # first boundary the current run writes
+    k, start = 0, 0.0  # slot the current run starts in, its start on its phase's curve
     last = 0  # last boundary written
     for i, (run_end, level, frame_bits, greedy) in enumerate(runs):
         if k >= n_slots:
             break
         phase = trace if greedy else schedule
-        rate, cum = phase.as_array, phase.cumulative
-        start = float(cum[k] + rate[k] * used)
-        stop, j, pos = _run_counts(counts, cum, start, f, run_end, frame_bits / dt, first)
+        stop, j, pos = _run_counts(counts, phase.cumulative, start, f, run_end, frame_bits / dt, k + 1)
         last = min(j, n_slots)
-        moved[first : last + 1] = base + (pos - start)
+        moved[k + 1 : last + 1] = base + (pos - start)
         if j <= n_slots:
             moved[j] = base + (stop - start)
         f, base = int(counts[last]), float(moved[last])
-        if j > n_slots:
+        if j > n_slots or i + 1 == len(runs):
             break
-        k = j - 1  # slot the run completes in
-        used = (stop - cum[k]) / rate[k]
-        if i + 1 < len(runs) and runs[i + 1][1] == level and used < 1 - _EPS:
-            first = j  # the continuation rewrites the slot's end boundary
-        else:
-            # the next run starts in the next slot; its writes before that
-            # clamp to its start, so the rest of this slot reads f and base
-            k, used, first = k + 1, 0.0, j + 1
+        _, next_level, _, next_greedy = runs[i + 1]
+        k, start = _next_start(phase, trace if next_greedy else schedule, stop, j, next_level == level)
     counts[last + 1 :] = f
     moved[last + 1 :] = base
     return TransmitResult(

@@ -2,6 +2,7 @@
 exhaustive oracle, and stall partitioning."""
 
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,27 @@ from abrplan.sim import session_length
 from reference import random_small_instance, reference_best_ascending_plan
 
 M = 1e6
+
+
+@contextmanager
+def counted_cache_runs():
+    """Count the planner's greedy cache runs (calls of ``_lowest_arrivals``)
+    and the continuation steps taken on them (calls of what it returns)."""
+    counts = {"cache_runs": 0, "steps": 0}
+    build = planner._lowest_arrivals
+
+    def counted(*args):
+        counts["cache_runs"] += 1
+        arrivals = build(*args)
+
+        def step(schedule):
+            counts["steps"] += 1
+            return arrivals(schedule)
+
+        return step
+
+    with mock.patch.object(planner, "_lowest_arrivals", counted):
+        yield counts
 
 
 class TestInvestThreshold:
@@ -171,31 +193,36 @@ class TestFitAscendingLevels:
                 hits += 1
         assert hits > 10
 
-    def test_one_transmit_per_fit(self):
-        """The fit transmits its all-level-1 plan and extends its arrivals
-        by one run step after each level it places, counted through the
-        planner's names as the layer benchmark counts them."""
+    def test_one_cache_run_per_fit(self):
+        """The fit transmits no plan: it gets its all-level-1 arrivals from
+        one greedy cache run and one continuation step on its schedule, and
+        extends them by one run step after each level it places, counted
+        through the planner's names as the layer benchmark counts them."""
         spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
         with mock.patch.object(planner, "transmit_video", wraps=planner.transmit_video) as transmits, \
-                mock.patch.object(planner, "extend_arrivals", wraps=planner.extend_arrivals) as extensions:
+                mock.patch.object(planner, "extend_arrivals", wraps=planner.extend_arrivals) as extensions, \
+                counted_cache_runs() as runs:
             fit = fit_ascending_levels(trace, min(trace.capacities), spec)
         assert fit.feasible and len(fit.plan.runs) > 2  # levels placed past the cache
-        assert transmits.call_count == 1
+        assert transmits.call_count == 0
+        assert runs == {"cache_runs": 1, "steps": 1}
         assert extensions.call_count == fit.plan.runs[-1][1] - 1  # one per level placed
 
     def test_one_schedule_per_threshold_examined(self):
         """The enumeration builds each threshold's schedule once, for its
         fit and its scoring transmit, and the lowest threshold's also serves
-        the window's due-frame transmit. It transmits each threshold's
-        all-level-1 plan once, the lowest threshold's for the window's
-        deadlines too, and each candidate's fitted plan once."""
+        the window's deadlines. It runs the window's greedy cache run once,
+        takes one continuation step for each threshold's all-level-1
+        arrivals, and transmits each candidate's fitted plan once."""
         spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
         with mock.patch.object(planner, "make_threshold_schedule", wraps=planner.make_threshold_schedule) as builds, \
-                mock.patch.object(planner, "transmit_video", wraps=planner.transmit_video) as transmits:
+                mock.patch.object(planner, "transmit_video", wraps=planner.transmit_video) as transmits, \
+                counted_cache_runs() as runs:
             candidates, examined = enumerate_candidates(trace, spec)
         assert examined > len(candidates) > 100
         assert [c.args[1] for c in builds.call_args_list] == planner.optimal_threshold_candidates(trace)[:examined]
-        assert transmits.call_count == examined + len(candidates)
+        assert transmits.call_count == len(candidates)
+        assert runs == {"cache_runs": 1, "steps": examined}
 
 
 class TestCandidateSelection:

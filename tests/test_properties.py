@@ -29,7 +29,9 @@ from abrplan import (
     make_threshold_schedule,
     transmit_video,
 )
-from abrplan.sim import _EPS, _playback_ramp, _trajectory_from_counts, deadline_check, extend_arrivals, session_length
+from abrplan.sim import (
+    _EPS, _lowest_arrivals, _playback_ramp, _trajectory_from_counts, deadline_check, extend_arrivals, session_length,
+)
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -537,9 +539,9 @@ def test_fit_start_is_feasible_and_locally_earliest(trace, spec, alpha):
 @FAST
 @given(traces(), specs(max_levels=4), st.floats(0.0, 30.0))
 def test_fit_verdict_is_the_check_on_its_plan(trace, spec, alpha):
-    """The fit transmits only the all-level-1 plan and extends its arrivals
-    after each placement; its verdict is still the stall check on a full
-    transmit of the plan it returns."""
+    """The fit transmits no plan: it takes the all-level-1 arrivals from the
+    window's cache run and extends them after each placement; its verdict
+    is still the stall check on a full transmit of the plan it returns."""
     fit = fit_ascending_levels(trace, alpha, spec)
     tx = transmit_video(trace, make_threshold_schedule(trace, alpha), spec, fit.plan)
     assert fit.feasible == (deadline_check(tx.frames_at_boundary, spec, trace.slot_duration) is not None)
@@ -666,6 +668,55 @@ def test_every_threshold_shares_the_lowest_thresholds_deadlines(instance, quantu
                 u_alpha = transmit_video(trace, schedule, spec, lowest).frames_at_boundary
                 fit = planner._fit_levels(trace, schedule, spec, u_alpha, window)
                 assert fit == fit_ascending_levels(trace, alpha, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.floats(0.5, 50.0))
+def test_cache_run_arrivals_match_transmit(instance, quantum_bits):
+    """What the window's one greedy cache run rests on: the all-level-1
+    plan's cache run is sent greedily on the trace, so at every threshold
+    of both ladders that plan's arrivals are the one cache run plus one
+    run step on the threshold's schedule, equal to a full transmit's,
+    dtype included."""
+    trace, _, spec, _ = instance
+    lowest, arrivals = QualityPlan.uniform(spec, 1), _lowest_arrivals(trace, spec)
+    for quantum in (None, quantum_bits):
+        for alpha in ladder(trace, quantum):
+            schedule = make_threshold_schedule(trace, alpha)
+            got, transmitted = arrivals(schedule), transmit_video(trace, schedule, spec, lowest).frames_at_boundary
+            assert got.dtype == transmitted.dtype
+            assert np.array_equal(got, transmitted)
+
+
+@pytest.mark.parametrize(
+    "trace, alpha, spec, case",
+    [
+        (CapacityTrace(1.0, (16.0, 16.0, 16.0)), 0.0, VideoSpec(4, 1, 1.0, _TWO_LEVELS, 4), "whole video"),
+        (CapacityTrace(1.0, (8.0, 8.0)), 0.0, VideoSpec(4, 1, 1.0, _TWO_LEVELS, 3), "window ends"),
+        (CapacityTrace(1.0, (16.0, 16.0, 16.0, 16.0)), 0.0, _FOUR_FRAMES, "mid slot"),
+        (CapacityTrace(1.0, (8.0, 16.0, 16.0, 16.0)), 0.0, _FOUR_FRAMES, "slot boundary"),
+        (CapacityTrace(1.0, (6.0, 30.0, 40.0, 40.0)), 35.0, _FOUR_FRAMES, "below threshold"),
+    ],
+)
+def test_cache_run_edge_cases(trace, alpha, spec, case):
+    schedule = make_threshold_schedule(trace, alpha)
+    u = _lowest_arrivals(trace, spec)(schedule)
+    transmitted = transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
+    assert u.dtype == transmitted.dtype and np.array_equal(u, transmitted)
+    n_cache = spec.cache_segments * spec.frames_per_segment
+    bits = n_cache * spec.frame_bits(1) / trace.slot_duration  # the cache run's length on the trace's curve
+    k = int(trace.cumulative.searchsorted(bits)) - 1  # slot the cache run completes in
+    if case == "whole video":
+        assert spec.cache_segments == spec.n_segments and u[-1] == spec.total_frames
+    elif case == "window ends":
+        assert trace.cumulative[-1] < bits and u[-1] < n_cache
+    elif case == "mid slot":  # the continuation goes on in the slot the cache run completes in
+        assert trace.cumulative[k + 1] > bits and u[k + 1] > n_cache and u[-1] == spec.total_frames
+    elif case == "slot boundary":  # the continuation starts in the next slot
+        assert trace.cumulative[k + 1] == bits and u[k + 1] == n_cache and u[-1] == spec.total_frames
+    else:  # the continuation waits for the schedule past the slot the cache run completes in
+        assert trace.cumulative[k + 1] > bits and schedule.as_array[k] == 0.0
+        assert u[k + 1] == n_cache and u[-1] == spec.total_frames
 
 
 def per_threshold_enumeration(trace, spec, quantum_bits=None):
