@@ -42,16 +42,18 @@ without it), and ``*_deadline_checks`` the planner's calls of
 ``deadline_check``, each of which builds a start-up, a playback ramp and a
 due-frame curve (0 for a version without it). A version whose fit checks
 each threshold on its own makes two a threshold examined; one that
-computes the window's due frames once makes about one an enumeration.
+computes the window's due frames once makes about one an enumeration, and
+one that reads them off the window's cache run makes none.
 ``*_schedules`` counts the planner's calls of ``make_threshold_schedule``:
 a version whose fit and scoring transmit each build the threshold's
 schedule makes about two a threshold examined, one that hands the fit its
 schedule makes one.
 ``*_cache_runs`` counts the window's greedy cache runs (calls of
 ``planner._lowest_arrivals``) and ``*_continuations`` the run steps that
-give a threshold's all-level-1 arrivals from one (calls of what it
-returns); both are 0 for a version that transmits the all-level-1 plan
-instead, whose transmits count as simulated sessions.
+give a threshold's all-level-1 arrivals from one (calls of the arrivals
+function it returns with the cache run's counts); both are 0 for a
+version that transmits the all-level-1 plan instead, whose transmits
+count as simulated sessions.
 ``seeds_digest`` hashes the 30 seeds' thresholds examined and candidates
 (threshold, plan, and the float hex of σ and ρ), so that two versions
 with the same results show the same digest.
@@ -199,7 +201,12 @@ def count_probes(ap, fn) -> dict:
         patches.append(("_suffix_lookup", counted_lookups(planner._suffix_lookup)))
     if hasattr(planner, "_lowest_arrivals"):
         build = planner._lowest_arrivals
-        patches.append(("_lowest_arrivals", counted("cache_runs", lambda *args: counted("continuations", build(*args)))))
+
+        def cache_run(*args):
+            arrivals, cache = build(*args)
+            return counted("continuations", arrivals), cache
+
+        patches.append(("_lowest_arrivals", counted("cache_runs", cache_run)))
     for name, key in (
         ("extend_arrivals", "extensions"),
         ("deadline_check", "deadline_checks"),

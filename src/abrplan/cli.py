@@ -93,7 +93,7 @@ def _resolve_video(video_path) -> VideoSpec:
         return default_video_spec()
     try:
         return load_video_spec(video_path)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise click.UsageError(f"bad video spec {video_path}: {exc}") from exc
 
 

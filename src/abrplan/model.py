@@ -110,6 +110,8 @@ class VideoSpec:
         for lvl in self.levels:
             if isinstance(lvl.bitrate_bps, (bool, np.bool_)) or not 0 < lvl.bitrate_bps < math.inf:
                 raise ValueError(f"bitrates must be positive, finite numbers, got {lvl.bitrate_bps!r}")
+            if not 0 < lvl.bitrate_bps / self.frame_rate < math.inf:  # an integer past floats raises OverflowError
+                raise ValueError(f"bitrates must give a positive, finite frame size, got {lvl.bitrate_bps!r} bps at {self.frame_rate!r} fps")
             if isinstance(lvl.weight, (bool, np.bool_)) or not 0 < lvl.weight <= 1:
                 raise ValueError(f"weights must be numbers in (0, 1], got {lvl.weight!r}")
             if prev is not None and not (prev.bitrate_bps < lvl.bitrate_bps and prev.weight < lvl.weight):

@@ -34,9 +34,10 @@ from .model import (
     make_threshold_schedule,
 )
 # exist_violation and evaluate stay importable from here: perfbench's tracer patches these names;
-# the planner's transmits, extensions and cache runs go through these names too, so that they can be counted
+# the planner's transmits, extensions and cache runs go through these names too, so that they can be counted;
+# it calls no deadline_check, as a window's deadlines come from its cache run (_window)
 from .sim import (
-    _EPS, _lowest_arrivals, deadline_check, evaluate, exist_violation, extend_arrivals, session_length, transmit_video,
+    _EPS, _deadlines, _lowest_arrivals, evaluate, exist_violation, extend_arrivals, session_length, transmit_video,
 )
 
 
@@ -126,12 +127,10 @@ class LevelFit:
 
 @dataclass(frozen=True)
 class _Window:
-    """What every threshold of one window shares: the all-level-1 plan's
-    greedy cache run, from which ``lowest_arrivals(schedule)`` gives that
-    plan's arrivals on a threshold's schedule (see ``sim._lowest_arrivals``),
-    and every feasible ascending plan has the all-level-1 plan's start-up,
-    due frames ``due`` (see ``deadline_check``) and session ``length``, with
-    no stall."""
+    """What every threshold of one window shares (see ``_window``): the
+    all-level-1 plan's greedy cache run, whose ``lowest_arrivals(schedule)``
+    are that plan's arrivals on a threshold's schedule, and the due frames
+    ``due`` and session ``length`` of every feasible plan."""
 
     lowest_arrivals: Callable[[ThresholdSchedule], np.ndarray]
     due: np.ndarray
@@ -140,25 +139,25 @@ class _Window:
 
     def met_by(self, u: np.ndarray) -> bool:
         """Whether arrivals u never fall below the due frames: the stall
-        check for any plan at any threshold of the window."""
+        check for any plan at any threshold of the window, and, as due ends
+        at the whole video (frame counts a float holds), of delivery."""
         return not (u < self.due).any()
 
 
-def _window_deadlines(
-    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec
-) -> tuple[np.ndarray, Optional[_Window]]:
-    """The all-level-1 plan's arrivals on ``schedule``, from the window's
-    one greedy cache run and one run step on the schedule, and the window's
-    ``_Window`` from them, or None when that plan stalls (then so does
-    every plan on the schedule, and at every higher threshold)."""
+def _window(trace: CapacityTrace, spec: VideoSpec) -> Optional[_Window]:
+    """The window's ``_Window``, read off its one greedy cache run, or None
+    when playback cannot start, or cannot finish, within the window. The
+    start-up and due are the same for every plan at every threshold of one
+    window: the start-up checkpoint is where the arrivals reach the prefetch
+    frames, inside the cache segments, which stay at level 1 and are sent
+    greedily on the trace, not on the schedule (``sim._deadlines``)."""
     dt = trace.slot_duration
-    lowest = _lowest_arrivals(trace, spec)
-    u = lowest(schedule)
-    if (session := deadline_check(u, spec, dt)) is None:
-        return u, None
+    lowest, cache = _lowest_arrivals(trace, spec)
+    if (session := _deadlines(cache, spec, dt)) is None:
+        return None
     startup, due = session
     at = due.searchsorted(np.arange(spec.n_segments) * spec.frames_per_segment, side="right")
-    return u, _Window(lowest, due, at, session_length(spec, startup * dt, ()))
+    return _Window(lowest, due, at, session_length(spec, startup * dt, ()))
 
 
 def _suffix_lookup(window: _Window, curve, cost: float, fps: int):
@@ -178,13 +177,12 @@ def _suffix_lookup(window: _Window, curve, cost: float, fps: int):
     return fits
 
 
-def _fit_levels(
-    trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, u: np.ndarray, window: _Window
-) -> LevelFit:
+def _fit_levels(trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, window: _Window) -> LevelFit:
     """``fit_ascending_levels`` on the threshold's ``schedule``, given the
-    all-level-1 plan's arrivals u there and the window's deadlines."""
+    window's ``_Window``."""
     n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
     plan = QualityPlan.uniform(spec, 1)
+    u = window.lowest_arrivals(schedule)
     if not window.met_by(u):
         return LevelFit(False, plan)
     lookups = 0
@@ -229,10 +227,10 @@ def fit_ascending_levels(trace: CapacityTrace, alpha: float, spec: VideoSpec) ->
     the last arrivals.
     """
     schedule = make_threshold_schedule(trace, alpha)
-    u, window = _window_deadlines(trace, schedule, spec)
+    window = _window(trace, spec)
     if window is None:
         return LevelFit(False, QualityPlan.uniform(spec, 1))
-    return _fit_levels(trace, schedule, spec, u, window)
+    return _fit_levels(trace, schedule, spec, window)
 
 
 def enumerate_candidates(
@@ -247,11 +245,11 @@ def enumerate_candidates(
     ladder that abandons that many bits per step. Returns the feasible
     candidates (ascending threshold) and the number of thresholds examined.
 
-    The window's shared value comes once, from the all-level-1 plan at the
-    lowest threshold (``_window_deadlines``): each threshold's all-level-1
-    arrivals are its greedy cache run plus one run step on the threshold's
-    schedule, each fit is checked against its deadlines, and each candidate
-    is scored from one transmit of its plan over its session length."""
+    The window's shared value comes once, from its greedy cache run
+    (``_window``): each threshold's all-level-1 arrivals are that cache run
+    plus one run step on the threshold's schedule, each fit is checked
+    against its deadlines, and each candidate is scored from one transmit
+    of its plan over its session length."""
     if spec.total_frames / spec.frame_rate > trace.window_length:
         raise NoFeasibleSessionError(
             "capacity window is shorter than the video playback time"
@@ -260,18 +258,15 @@ def enumerate_candidates(
         alphas = optimal_threshold_candidates(trace)
     else:
         alphas = invest_threshold_candidates(trace, quantum_bits)
-    schedule = make_threshold_schedule(trace, alphas[0])
-    u, window = _window_deadlines(trace, schedule, spec)
+    window = _window(trace, spec)
     if window is None:
-        return [], 1  # the lowest threshold's all-level-1 plan stalls
+        return [], 1  # no plan plays out the video at the lowest threshold, nor at any other
     out: list[Candidate] = []
     examined = 0
     for alpha in alphas:
-        if examined:  # the lowest threshold's schedule and arrivals are built above
-            schedule = make_threshold_schedule(trace, alpha)
-            u = window.lowest_arrivals(schedule)
         examined += 1
-        fit = _fit_levels(trace, schedule, spec, u, window)
+        schedule = make_threshold_schedule(trace, alpha)
+        fit = _fit_levels(trace, schedule, spec, window)
         if not fit.feasible:
             break
         tx = transmit_video(trace, schedule, spec, fit.plan)
@@ -345,10 +340,11 @@ def exhaustive_best_plan(
     A node keeps or raises its parent's level from its segment on. Kept,
     it is the parent's plan, which is feasible; raised, it is feasible iff
     one lookup on the parent's arrivals says so, as in the level fit. The
-    root's all-level-1 arrivals come with the window's value, from its
-    greedy cache run and one run step, so only a raising node with
-    children, and a leaf that may win, is transmitted. Feasible plans all
-    start playback in one slot: one session length.
+    root's all-level-1 arrivals are the window's greedy cache run and one
+    run step, checked by the window's one verdict as every threshold's are,
+    so only a raising node with children, and a leaf that may win, is
+    transmitted. Feasible plans all start playback in one slot: one session
+    length.
     """
     n, L = spec.n_segments, spec.n_levels
     n_free = n - spec.cache_segments
@@ -358,8 +354,8 @@ def exhaustive_best_plan(
         )
     fps, dt = spec.frames_per_segment, trace.slot_duration
     schedule = make_threshold_schedule(trace, alpha)
-    u0, window = _window_deadlines(trace, schedule, spec)
-    if window is None:
+    window = _window(trace, spec)
+    if window is None or not window.met_by(u0 := window.lowest_arrivals(schedule)):
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
     fits = {s: _suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps) for s in range(2, L + 1)}
     best = None  # (rho, sigma, plan) of the best plan so far

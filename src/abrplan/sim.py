@@ -101,12 +101,12 @@ def _next_start(done, nxt, stop: float, j: int, keeps_level: bool) -> tuple[int,
 
 
 def _lowest_arrivals(trace: CapacityTrace, spec: VideoSpec):
-    """``arrivals(schedule)``: the all-level-1 plan's ``frames_at_boundary``
-    under a schedule built on ``trace``, as ``transmit_video`` gives them.
-    That plan's cache run is sent greedily on the trace, so it is the same
-    under every schedule: it is one run step here, and each call adds one
-    run step on the schedule for the frames after the cache, started by the
-    continuation rule (``_next_start``) where the cache run completes."""
+    """``(arrivals, cache)``: the all-level-1 plan's ``frames_at_boundary``
+    under a schedule built on ``trace`` are ``arrivals(schedule)``, as
+    ``transmit_video`` gives them. Its cache run is sent greedily on the
+    trace, so it is the same under every schedule: it is one run step here,
+    whose counts are ``cache``, and each call adds one run step on the
+    schedule, started by the continuation rule (``_next_start``)."""
     n_slots, total = trace.n_slots, spec.total_frames
     n_cache = spec.cache_segments * spec.frames_per_segment
     cost = spec.frame_bits(1) / trace.slot_duration
@@ -114,7 +114,7 @@ def _lowest_arrivals(trace: CapacityTrace, spec: VideoSpec):
     stop, j, _ = _run_counts(cache, trace.cumulative, 0.0, 0, n_cache, cost, 1)
     cache[j + 1 :] = n_cache
     if j > n_slots or n_cache == total:
-        return lambda schedule: cache.copy()  # nothing is sent on the schedule
+        return (lambda schedule: cache.copy()), cache  # nothing is sent on the schedule
 
     def arrivals(schedule: ThresholdSchedule) -> np.ndarray:
         u = cache.copy()
@@ -124,7 +124,7 @@ def _lowest_arrivals(trace: CapacityTrace, spec: VideoSpec):
             u[end + 1 :] = total
         return u
 
-    return arrivals
+    return arrivals, cache
 
 
 def transmit_video(
@@ -265,25 +265,25 @@ def _trajectory_from_counts(u: np.ndarray, spec: VideoSpec, cdt: float) -> Traje
     return Trajectory(watched, startup, events)
 
 
+def _deadlines(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[int, np.ndarray]]:
+    """Start-up checkpoint and due frames of arrivals u, or None when playback
+    never starts or the window ends before it finishes. due[i] counts the
+    frames g with g + _EPS below the playback ramp at checkpoint i (in closed
+    form), so frame g is due by the first checkpoint where due exceeds g."""
+    startup, ramp = _playback_ramp(u, spec, dt)
+    if startup is None or ramp[-1] < spec.total_frames - _EPS:
+        return None
+    return startup, np.ceil(ramp - _EPS).clip(0, spec.total_frames).astype(np.int64)
+
+
 def deadline_check(u: np.ndarray, spec: VideoSpec, dt: float) -> Optional[tuple[int, np.ndarray]]:
     """The stall check: for arrivals u (a transmit's ``frames_at_boundary``)
     that deliver (reach the whole video) and play out the video without a
-    stall, the start-up checkpoint and the due frames, else None.
-    due[i] counts the frames g with g + _EPS below the playback ramp at
-    checkpoint i (in closed form, so no array of frames is built), so frame
-    g's deadline is the first checkpoint where due exceeds g, and the
-    session stalls iff u falls below due. The start-up and due are the same
-    for every plan at every threshold of one window: the start-up
-    checkpoint is where the arrivals reach the prefetch frames, inside the
-    cache segments, which stay at level 1 and are sent greedily on the
-    trace, not on the schedule."""
+    stall (u never below due), ``_deadlines`` of u, else None."""
     if u[-1] < spec.total_frames:
         return None
-    startup, ramp = _playback_ramp(u, spec, dt)
-    if startup is None or ramp[-1] < spec.total_frames - _EPS:
-        return None  # playback never starts, or the window ends before it finishes
-    due = np.ceil(ramp - _EPS).clip(0, spec.total_frames).astype(np.int64)
-    return None if (u < due).any() else (startup, due)
+    session = _deadlines(u, spec, dt)
+    return None if session is None or (u < session[1]).any() else session
 
 
 def exist_violation(

@@ -6,6 +6,7 @@ import os
 import string
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,24 @@ class TestPlan:
              "--a", "1", "--out", str(tmp_path / "r.json")],
         )
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("bitrate, frame_rate", [(5e-324, 2.0), (1e308, 0.1), (0.4e6, 10**400)])
+    def test_zero_or_infinite_frame_size_is_a_config_error(self, runner, tmp_path, bitrate, frame_rate):
+        """A level whose frame size ``bitrate / frame_rate`` is 0 or inf in
+        floats, or an integer rate past the float range, is refused before
+        planning, with no numpy warning."""
+        video = tmp_path / "video.json"
+        level = {"bitrate_bps": bitrate, "weight": 1.0}
+        video.write_text(json.dumps(dict(SMALL_VIDEO, n_segments=3, frames_per_segment=1, frame_rate=frame_rate,
+                                         prefetch_frames=1, levels=[level])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["plan", "--video", str(video), "--synthetic-seed", "0", "--a", "4.5", "--out", str(tmp_path / "r.json")]
+            )
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert ("frame size" in result.output or "too large" in result.output) and not (tmp_path / "r.json").exists()
 
     def test_zero_rate_slot_after_level_change(self, runner, zero_rate_instance, tmp_path):
         trace, spec = zero_rate_instance

@@ -123,6 +123,18 @@ class TestVideoSpec:
         with pytest.raises(ValueError, match="bitrates"):
             self._spec(levels=(QualityLevel(value, 0.5), QualityLevel(16.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "bitrate, frame_rate, error",
+        [(5e-324, 2.0, ValueError), (1e308, 0.1, ValueError), (8.0, 10**400, OverflowError), (10**400, 2.0, OverflowError)],
+        ids=["zero", "inf", "int-rate-past-floats", "int-bitrate-past-floats"],
+    )
+    def test_rejects_a_frame_size_that_underflows_or_overflows(self, bitrate, frame_rate, error):
+        """Each rate and bitrate is in range alone, but the frame size
+        ``bitrate / frame_rate`` is 0 or inf in floats, or its integer
+        operands do not fit a float."""
+        with pytest.raises(error, match="frame size|too large"):
+            self._spec(frame_rate=frame_rate, levels=(QualityLevel(bitrate, 1.0),))
+
     @pytest.mark.parametrize("value", [True, False, np.True_])
     def test_rejects_booleans_as_rate_bitrate_and_weight(self, value):
         with pytest.raises(ValueError, match="frame_rate"):

@@ -1,12 +1,14 @@
 """Planner tests: threshold ladders, the ascending-level heuristic, the
 exhaustive oracle, and stall partitioning."""
 
+import json
 import math
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from abrplan import planner
 from abrplan import (
@@ -32,8 +34,10 @@ from abrplan import (
     plan_session,
     plan_with_stalls,
     relative_performance_error,
+    save_trace,
     select_candidate,
 )
+from abrplan.cli import main
 from abrplan.sim import session_length
 
 from reference import random_small_instance, reference_best_ascending_plan
@@ -50,13 +54,13 @@ def counted_cache_runs():
 
     def counted(*args):
         counts["cache_runs"] += 1
-        arrivals = build(*args)
+        arrivals, cache = build(*args)
 
         def step(schedule):
             counts["steps"] += 1
             return arrivals(schedule)
 
-        return step
+        return step, cache
 
     with mock.patch.object(planner, "_lowest_arrivals", counted):
         yield counts
@@ -210,10 +214,10 @@ class TestFitAscendingLevels:
 
     def test_one_schedule_per_threshold_examined(self):
         """The enumeration builds each threshold's schedule once, for its
-        fit and its scoring transmit, and the lowest threshold's also serves
-        the window's deadlines. It runs the window's greedy cache run once,
-        takes one continuation step for each threshold's all-level-1
-        arrivals, and transmits each candidate's fitted plan once."""
+        fit and its scoring transmit. It runs the window's greedy cache run
+        once, for the window's deadlines, takes one continuation step for
+        each threshold's all-level-1 arrivals, and transmits each
+        candidate's fitted plan once."""
         spec, trace = default_video_spec(), generate_synthetic(default_trace_config(0))
         with mock.patch.object(planner, "make_threshold_schedule", wraps=planner.make_threshold_schedule) as builds, \
                 mock.patch.object(planner, "transmit_video", wraps=planner.transmit_video) as transmits, \
@@ -276,6 +280,38 @@ class TestCandidateSelection:
         short = CapacityTrace(1.0, (100.0, 100.0))  # video plays 4 s
         with pytest.raises(NoFeasibleSessionError):
             enumerate_candidates(short, toy_spec)
+
+    @pytest.mark.parametrize(
+        "capacities, case",
+        [((1.0,) * 6, "no start-up"), ((8.0, 0.0, 0.0, 0.0, 0.0, 0.0), "lowest stalls")],
+    )
+    def test_early_exits(self, toy_spec, capacities, case, tmp_path):
+        """The two ways a window ends the search before a fit places a
+        level: the cache run never reaches the prefetch frames, so the
+        window has no deadlines; or it starts playback, but the all-level-1
+        plan stalls at the lowest threshold. The 8-bit cache goes in slot 0
+        of the second window, and nothing after it."""
+        trace, alpha = CapacityTrace(1.0, capacities), min(capacities)
+        window = planner._window(trace, toy_spec)
+        if case == "no start-up":
+            assert window is None
+        else:
+            assert not window.met_by(window.lowest_arrivals(planner.make_threshold_schedule(trace, alpha)))
+        assert enumerate_candidates(trace, toy_spec) == ([], 1)
+        assert fit_ascending_levels(trace, alpha, toy_spec).feasible is False
+        assert exhaustive_best_plan(trace, alpha, toy_spec, 0.0) is None
+        video, trace_csv = tmp_path / "video.json", tmp_path / "trace.csv"
+        video.write_text(json.dumps({
+            "n_segments": toy_spec.n_segments, "frames_per_segment": toy_spec.frames_per_segment,
+            "frame_rate": toy_spec.frame_rate, "prefetch_frames": toy_spec.prefetch_frames,
+            "levels": [{"bitrate_bps": lvl.bitrate_bps, "weight": lvl.weight} for lvl in toy_spec.levels],
+        }))
+        save_trace(trace, trace_csv)
+        result = CliRunner().invoke(
+            main, ["plan", "--video", str(video), "--trace", str(trace_csv), "--a", "1", "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
 
 
 class TestPlanSession:

@@ -429,7 +429,7 @@ def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     "dfs"; that plan is no heavier and switches no more, so it is feasible
     too). The lookup takes the window's deadlines as the fit gets them."""
     schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
-    window = planner._window_deadlines(trace, schedule, spec)[1]
+    window = planner._window(trace, spec)
     levels, n, fps = plan.segment_levels, spec.n_segments, spec.frames_per_segment
     fits = {s: suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps) for s in range(2, spec.n_levels + 1)}
     out = []
@@ -500,8 +500,8 @@ def test_segment_deadlines_are_searches_of_due(instance):
     """What the lookups' one deadline per segment rests on: the deadline
     the window's value holds for each segment is the one a search of
     ``due`` finds."""
-    trace, alpha, spec, _ = instance
-    window = planner._window_deadlines(trace, make_threshold_schedule(trace, alpha), spec)[1]
+    trace, _, spec, _ = instance
+    window = planner._window(trace, spec)
     if window is None:
         return  # no due frames: the fit stops before its first lookup
     assert len(window.at) == spec.n_segments
@@ -641,33 +641,39 @@ def ladder(trace, quantum_bits=None):
 
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.floats(0.5, 50.0))
-def test_every_threshold_shares_the_lowest_thresholds_deadlines(instance, quantum_bits):
-    """What the enumeration's one ``due`` and one session length rest on:
-    at every threshold of a ladder, the all-level-1 plan and any ascending
-    plan that deadline_check passes have the due frames and the start-up
-    checkpoint of the all-level-1 plan at the ladder's lowest threshold;
-    and where that plan stalls, every plan at every threshold does. The fit
-    core on the lowest threshold's deadlines returns the public fit's
-    result."""
+def test_every_threshold_shares_the_cache_runs_deadlines(instance, quantum_bits):
+    """What the window's one value rests on: ``_window`` reads its start-up,
+    due frames and session length off the greedy cache run alone, and at
+    every threshold of the optimal ladder and an invest ladder the
+    all-level-1 plan passes ``deadline_check`` on a full transmit exactly
+    when the value exists and its arrivals meet it (``met_by``), with the
+    value's start-up and due; any ascending plan that passes has the same
+    due frames and start-up, and none passes once the all-level-1 plan has
+    stalled there or at a lower threshold; and the fit core on the value
+    returns the public fit's result."""
     trace, _, spec, plan = instance
     lowest, dt = QualityPlan.uniform(spec, 1), trace.slot_duration
+    window = planner._window(trace, spec)
+
+    def assert_window_holds(session):
+        assert window is not None and np.array_equal(session[1], window.due)
+        assert session_length(spec, session[0] * dt, ()) == window.length
+
     for quantum in (None, quantum_bits):
-        alphas = ladder(trace, quantum)
-        u, window = planner._window_deadlines(trace, make_threshold_schedule(trace, alphas[0]), spec)
-        base = deadline_check(u, spec, dt)
-        for alpha in alphas:
+        stalled = False  # the all-level-1 plan stalls here or at a lower threshold
+        for alpha in ladder(trace, quantum):
             schedule = make_threshold_schedule(trace, alpha)
             for p in (lowest, plan):
-                session = deadline_check(transmit_video(trace, schedule, spec, p).frames_at_boundary, spec, dt)
-                if session is None:
-                    continue
-                assert base is not None
-                assert np.array_equal(session[1], base[1])
-                assert session[0] == base[0]
-            if base is not None:
-                u_alpha = transmit_video(trace, schedule, spec, lowest).frames_at_boundary
-                fit = planner._fit_levels(trace, schedule, spec, u_alpha, window)
-                assert fit == fit_ascending_levels(trace, alpha, spec)
+                u = transmit_video(trace, schedule, spec, p).frames_at_boundary
+                session = deadline_check(u, spec, dt)
+                if p is lowest:
+                    assert (session is not None) == (window is not None and window.met_by(u))
+                    stalled = stalled or session is None
+                if session is not None:
+                    assert not stalled
+                    assert_window_holds(session)
+            if window is not None:
+                assert planner._fit_levels(trace, schedule, spec, window) == fit_ascending_levels(trace, alpha, spec)
 
 
 @settings(max_examples=300, deadline=None)
@@ -679,7 +685,7 @@ def test_cache_run_arrivals_match_transmit(instance, quantum_bits):
     run step on the threshold's schedule, equal to a full transmit's,
     dtype included."""
     trace, _, spec, _ = instance
-    lowest, arrivals = QualityPlan.uniform(spec, 1), _lowest_arrivals(trace, spec)
+    lowest, arrivals = QualityPlan.uniform(spec, 1), _lowest_arrivals(trace, spec)[0]
     for quantum in (None, quantum_bits):
         for alpha in ladder(trace, quantum):
             schedule = make_threshold_schedule(trace, alpha)
@@ -700,7 +706,7 @@ def test_cache_run_arrivals_match_transmit(instance, quantum_bits):
 )
 def test_cache_run_edge_cases(trace, alpha, spec, case):
     schedule = make_threshold_schedule(trace, alpha)
-    u = _lowest_arrivals(trace, spec)(schedule)
+    u = _lowest_arrivals(trace, spec)[0](schedule)
     transmitted = transmit_video(trace, schedule, spec, QualityPlan.uniform(spec, 1)).frames_at_boundary
     assert u.dtype == transmitted.dtype and np.array_equal(u, transmitted)
     n_cache = spec.cache_segments * spec.frames_per_segment
