@@ -13,6 +13,8 @@ optimal-threshold mode, with a = 4.5 for candidate selection. Timed items:
   time divided by its probe count, simulated and looked up, is the mean
   cost of a probe as the fit makes it (``fit_per_probe``);
 - ``evaluate``: the full evaluation of the selected candidate;
+- ``utilization``: one ``compute_utilization`` on the bits of one transmit
+  of the selected candidate, as the enumeration scores each threshold;
 - ``select``: ``select_candidate`` over the seed's candidates;
 - ``load_trace``: loading the stock window from a trace CSV export;
 - ``enumerate``: one whole ``enumerate_candidates``, for reference;
@@ -66,7 +68,9 @@ seed 0, ``stall-scan --stride 20`` on it, and ``bench --periods 1,2
 
 The record also gives the line count of each module of the package under
 ``--src`` and their total (``source_lines``), the code-size figure the
-ROADMAP tracks.
+ROADMAP tracks, and the host's load averages (``os.getloadavg()``) at the
+start and at the end of the run (``loadavg``), as other work on the host
+moves every timing.
 
 The run is appended to the JSON list in ``--out``. ``--src`` selects the
 ``src`` directory that ``abrplan`` is imported from (default: this
@@ -97,7 +101,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 STOCK_SEED = 0
 STOCK_A = 4.5
 # calls per repeat, chosen so that one repeat of each item takes 10-100 ms
-NUMBER = {"probe": 200, "fit": 5, "evaluate": 50, "select": 1000, "load_trace": 50, "enumerate": 1, "enumerate_30_seeds": 1, "oracle": 4}
+NUMBER = {
+    "probe": 200, "fit": 5, "evaluate": 50, "utilization": 2000, "select": 1000, "load_trace": 50, "enumerate": 1,
+    "enumerate_30_seeds": 1, "oracle": 4,
+}
 SEEDS = range(30)
 SEEDS_REPEATS = 3
 # the planner's names for a simulated session, where the version has them
@@ -244,6 +251,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
     candidates, examined = planner.enumerate_candidates(trace, spec)
     best = planner.select_candidate(candidates, STOCK_A)
     alpha, plan = best.alpha, best.plan
+    bits = ap.transmit_video(trace, ap.make_threshold_schedule(trace, alpha), spec, plan).bits_used_per_slot
 
     seed_traces = [ap.generate_synthetic(ap.default_trace_config(seed)) for seed in SEEDS]
     seed_results = enumerate_seeds(ap, spec, seed_traces)
@@ -297,6 +305,7 @@ def measure(ap, repeats: int, workdir: Path) -> tuple[dict, dict]:
         "probe": lambda: ap.exist_violation(trace, alpha, spec, plan),
         "fit": lambda: planner.fit_ascending_levels(trace, alpha, spec),
         "evaluate": lambda: ap.evaluate(trace, alpha, spec, plan, a=0.0),
+        "utilization": lambda: ap.compute_utilization(trace, bits, trace.window_length),
         "select": lambda: planner.select_candidate(candidates, STOCK_A),
         "load_trace": lambda: ap.load_trace(trace_csv),
         "enumerate": lambda: planner.enumerate_candidates(trace, spec),
@@ -338,10 +347,12 @@ def main(argv=None) -> int:
     if args.repeats < 2:
         parser.error("--repeats must be >= 2")
 
+    load_start = os.getloadavg()
     ap = import_abrplan(args.src)
     with tempfile.TemporaryDirectory() as tmp:
         counts, timings = measure(ap, args.repeats, Path(tmp))
         cli = time_cli(args.src, Path(tmp))
+    load_end = os.getloadavg()
     commit, dirty = git_state(args.src)
     record = {
         "label": args.label,
@@ -352,6 +363,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cpu": cpu_model(),
         "nproc": os.cpu_count(),
+        "loadavg": {"start": load_start, "end": load_end},  # 1, 5 and 15 minute averages
         "source_lines": source_lines(args.src),
         "counts": counts,
         "timings": timings,
@@ -362,6 +374,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(runs, indent=2) + "\n")
 
     print(f"  {'source_lines':<22} {record['source_lines']['total']}")
+    print(f"  {'loadavg':<22} {load_start[0]:.2f} -> {load_end[0]:.2f}")
     for name, key in counts.items():
         print(f"  {name:<22} {key}")
     for name, t in timings.items():

@@ -58,6 +58,19 @@ class CapacityTrace:
         """Capacities summed up to each slot boundary; see ``_running_sum``."""
         return _running_sum(self.as_array)
 
+    @cached_property
+    def _volumes(self) -> tuple[np.ndarray, ...]:
+        """What ``compute_utilization`` reads of every schedule on this
+        window: the slot volumes c·dt, the bits above which a slot is
+        over-used, the mask of slots with a positive volume, and their
+        volumes."""
+        volume = self.as_array * self.slot_duration
+        used = volume > 0
+        out = volume, volume * (1 + _REL_EPS) + _REL_EPS, used, volume[used]
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
     @property
     def n_slots(self) -> int:
         return len(self.capacities)
@@ -120,15 +133,17 @@ class VideoSpec:
         if not 1 <= self.prefetch_frames <= self.total_frames:
             raise ValueError("prefetch_frames must be in [1, total frames]")
 
-    @property
+    # the derived counts are cached per spec, as they are read in every
+    # probe; a cached value is no field, so ==, hash and repr ignore it
+    @cached_property
     def n_levels(self) -> int:
         return len(self.levels)
 
-    @property
+    @cached_property
     def total_frames(self) -> int:
         return self.n_segments * self.frames_per_segment
 
-    @property
+    @cached_property
     def cache_segments(self) -> int:
         """Number of leading segments covered by the start-up threshold."""
         return min(self.n_segments, math.ceil(self.prefetch_frames / self.frames_per_segment))
@@ -283,18 +298,17 @@ def compute_utilization(trace: CapacityTrace, bits_used_per_slot, session_length
     bits = np.asarray(bits_used_per_slot, dtype=float)
     if bits.shape != c.shape:
         raise ValueError("bits_used_per_slot length must match the trace")
-    if np.any(bits < 0):
+    if (bits < 0).any():  # the method, not np.any, whose dispatch costs about as much as the test
         raise InvalidScheduleError("negative bits on a slot")
-    volume = c * trace.slot_duration
-    over = bits > volume * (1 + _REL_EPS) + _REL_EPS
-    if np.any(over):
+    volume, limit, used, used_volume = trace._volumes
+    over = bits > limit
+    if over.any():
         k = int(np.flatnonzero(over)[0])
         if c[k] == 0:
             raise InvalidScheduleError(f"bits used on zero-capacity slot {k}")
         raise InvalidScheduleError(f"slot {k} used {bits[k]} bits, volume is {volume[k]}")
-    used = volume > 0
     ratio = np.zeros_like(bits)
-    ratio[used] = bits[used] / volume[used]
+    ratio[used] = bits[used] / used_volume
     return float(ratio.sum() * trace.slot_duration / session_length)
 
 

@@ -37,7 +37,8 @@ from .model import (
 # the planner's transmits, extensions and cache runs go through these names too, so that they can be counted;
 # it calls no deadline_check, as a window's deadlines come from its cache run (_window)
 from .sim import (
-    _EPS, _deadlines, _lowest_arrivals, evaluate, exist_violation, extend_arrivals, session_length, transmit_video,
+    _EPS, _deadlines, _frame_cost, _lowest_arrivals, evaluate, exist_violation, extend_arrivals, session_length,
+    transmit_video,
 )
 
 
@@ -129,13 +130,17 @@ class LevelFit:
 class _Window:
     """What every threshold of one window shares (see ``_window``): the
     all-level-1 plan's greedy cache run, whose ``lowest_arrivals(schedule)``
-    are that plan's arrivals on a threshold's schedule, and the due frames
-    ``due`` and session ``length`` of every feasible plan."""
+    are that plan's arrivals on a threshold's schedule, the due frames
+    ``due`` and session ``length`` of every feasible plan, and, at index
+    s - 1 for level s, a frame's cost in bits / dt and the bits the due
+    frames take at that cost, which the lookups of every threshold read."""
 
     lowest_arrivals: Callable[[ThresholdSchedule], np.ndarray]
     due: np.ndarray
     at: np.ndarray  # per segment, the first slot boundary i with due[i] above its first frame
     length: float
+    costs: tuple[float, ...]
+    due_bits: tuple[np.ndarray, ...]  # due * cost
 
     def met_by(self, u: np.ndarray) -> bool:
         """Whether arrivals u never fall below the due frames: the stall
@@ -150,29 +155,33 @@ def _window(trace: CapacityTrace, spec: VideoSpec) -> Optional[_Window]:
     start-up and due are the same for every plan at every threshold of one
     window: the start-up checkpoint is where the arrivals reach the prefetch
     frames, inside the cache segments, which stay at level 1 and are sent
-    greedily on the trace, not on the schedule (``sim._deadlines``)."""
+    greedily on the trace, not on the schedule (``sim._deadlines``).
+    Raises AbrPlanError when a level's frame cost is 0 or inf in floats
+    (``sim._frame_cost``)."""
     dt = trace.slot_duration
+    costs = tuple(_frame_cost(spec, s, dt) for s in range(1, spec.n_levels + 1))
     lowest, cache = _lowest_arrivals(trace, spec)
     if (session := _deadlines(cache, spec, dt)) is None:
         return None
     startup, due = session
     at = due.searchsorted(np.arange(spec.n_segments) * spec.frames_per_segment, side="right")
-    return _Window(lowest, due, at, session_length(spec, startup * dt, ()))
+    return _Window(lowest, due, at, session_length(spec, startup * dt, ()), costs, tuple(due * c for c in costs))
 
 
-def _suffix_lookup(window: _Window, curve, cost: float, fps: int):
-    """``fits(u, f)``: whether a run of frames f.. at ``cost`` a frame, started
-    in the slot after arrivals u reach f, has ``window.due[i]`` frames by
-    each slot boundary i where more than f are due (see ``deadline_check``).
-    f starts a segment, and its deadline is read from ``window.at``, not
+def _suffix_lookup(window: _Window, curve, level: int, fps: int):
+    """``fits(u, f)``: whether a run of frames f.. at ``level``, started in
+    the slot after arrivals u reach f, has ``window.due[i]`` frames by each
+    slot boundary i where more than f are due (see ``deadline_check``). f
+    starts a segment, and its deadline is read from ``window.at``, not
     searched for on each lookup."""
-    at = window.at
+    at, cost = window.at, window.costs[level - 1]
     # latest[i] + f * cost: the furthest start that keeps up from boundary i on
-    latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
+    latest = np.minimum.accumulate((curve - window.due_bits[level - 1])[::-1])[::-1]
+    n_slots, slack = len(curve) - 1, _EPS * cost
 
     def fits(u, first: int) -> bool:
         k = int(u.searchsorted(first))  # slot the run starts in
-        return k < len(curve) - 1 and curve[k] <= latest[at[first // fps]] + first * cost + _EPS * cost
+        return k < n_slots and curve[k] <= latest[at[first // fps]] + first * cost + slack
 
     return fits
 
@@ -180,14 +189,14 @@ def _suffix_lookup(window: _Window, curve, cost: float, fps: int):
 def _fit_levels(trace: CapacityTrace, schedule: ThresholdSchedule, spec: VideoSpec, window: _Window) -> LevelFit:
     """``fit_ascending_levels`` on the threshold's ``schedule``, given the
     window's ``_Window``."""
-    n, fps, dt = spec.n_segments, spec.frames_per_segment, trace.slot_duration
+    n, fps = spec.n_segments, spec.frames_per_segment
     plan = QualityPlan.uniform(spec, 1)
     u = window.lowest_arrivals(schedule)
     if not window.met_by(u):
         return LevelFit(False, plan)
     lookups = 0
     for s in range(2, spec.n_levels + 1):
-        fits = _suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps)
+        fits = _suffix_lookup(window, schedule.cumulative, s, fps)
         lo = max(plan.runs[-1][0], spec.cache_segments)
         best = n  # sentinel: do not place level s
         hi = n - 1
@@ -263,6 +272,7 @@ def enumerate_candidates(
         return [], 1  # no plan plays out the video at the lowest threshold, nor at any other
     out: list[Candidate] = []
     examined = 0
+    on = (trace, spec, 0.0)  # what every candidate was evaluated on
     for alpha in alphas:
         examined += 1
         schedule = make_threshold_schedule(trace, alpha)
@@ -271,7 +281,7 @@ def enumerate_candidates(
             break
         tx = transmit_video(trace, schedule, spec, fit.plan)
         sigma = compute_utilization(trace, tx.bits_used_per_slot, window.length)
-        out.append(Candidate(alpha, fit.plan, sigma, compute_quality(spec, fit.plan), (trace, spec, 0.0)))
+        out.append(Candidate(alpha, fit.plan, sigma, compute_quality(spec, fit.plan), on))
     return out, examined
 
 
@@ -344,7 +354,8 @@ def exhaustive_best_plan(
     run step, checked by the window's one verdict as every threshold's are,
     so only a raising node with children, and a leaf that may win, is
     transmitted. Feasible plans all start playback in one slot: one session
-    length.
+    length. Each node carries its plan's segment count per level, so a
+    leaf's quality is ``compute_quality``'s sum on the same counts.
     """
     n, L = spec.n_segments, spec.n_levels
     n_free = n - spec.cache_segments
@@ -352,18 +363,18 @@ def exhaustive_best_plan(
         raise OracleBudgetError(
             f"(L+1)^segments = {(L + 1) ** n_free} exceeds the {max_nodes} node budget"
         )
-    fps, dt = spec.frames_per_segment, trace.slot_duration
+    fps = spec.frames_per_segment
     schedule = make_threshold_schedule(trace, alpha)
     window = _window(trace, spec)
     if window is None or not window.met_by(u0 := window.lowest_arrivals(schedule)):
         return None  # every plan is as heavy as all level 1 or heavier, and switches more
-    fits = {s: _suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps) for s in range(2, L + 1)}
+    fits = {s: _suffix_lookup(window, schedule.cumulative, s, fps) for s in range(2, L + 1)}
     best = None  # (rho, sigma, plan) of the best plan so far
     nodes = 0
 
-    def consider(plan: QualityPlan) -> None:
+    def consider(plan: QualityPlan, counts: list) -> None:
         nonlocal best
-        rho = compute_quality(spec, plan)
+        rho = float(np.dot(spec.weights, np.array(counts, dtype=float)) / n)  # compute_quality, on the same counts
         if best is not None and rho < best[0]:
             return  # cannot win: skip its transmit
         sigma = compute_utilization(trace, transmit_video(trace, schedule, spec, plan).bits_used_per_slot, window.length)
@@ -372,26 +383,33 @@ def exhaustive_best_plan(
         ):
             best = rho, sigma, plan
 
-    def dfs(plan: QualityPlan, u, pos: int) -> None:
+    def dfs(plan: QualityPlan, counts: list, u, pos: int) -> None:
         # plan: the node's prefix below segment pos, its last run (at the
-        # node's level) run on to the end; u: that plan's arrivals
+        # node's level) run on to the end; counts: that plan's segments per
+        # level; u: its arrivals
         nonlocal nodes
         level = plan.runs[-1][1]
         for lvl in range(level, L + 1):
             nodes += 1
             if lvl > level and not fits[lvl](u, pos * fps):
                 break  # heavier fills only cost more: prune this level and above
-            child = plan if lvl == level else QualityPlan.from_runs(plan.runs + ((pos, lvl),), n)
+            child, child_counts = plan, counts
+            if lvl > level:
+                child = QualityPlan.from_runs(plan.runs + ((pos, lvl),), n)
+                child_counts = counts.copy()
+                child_counts[level - 1] -= n - pos
+                child_counts[lvl - 1] += n - pos
             if pos == n - 1:
-                consider(child)
+                consider(child, child_counts)
             else:
-                dfs(child, u if child is plan else transmit_video(trace, schedule, spec, child).frames_at_boundary, pos + 1)
+                child_u = u if child is plan else transmit_video(trace, schedule, spec, child).frames_at_boundary
+                dfs(child, child_counts, child_u, pos + 1)
 
-    lowest = QualityPlan.uniform(spec, 1)
+    lowest, lowest_counts = QualityPlan.uniform(spec, 1), [n] + [0] * (L - 1)
     if n_free == 0:
-        consider(lowest)
+        consider(lowest, lowest_counts)
     else:
-        dfs(lowest, u0, spec.cache_segments)
+        dfs(lowest, lowest_counts, u0, spec.cache_segments)
     if best is None:
         return None
     rho, sigma, plan = best

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasiblePlanError
+from .errors import AbrPlanError, InfeasiblePlanError
 from .model import (
     CapacityTrace,
     QualityPlan,
@@ -45,19 +45,31 @@ class TransmitResult:
     frames_at_boundary: np.ndarray = field(repr=False)
 
 
-def _runs(spec: VideoSpec, plan: QualityPlan):
-    """Split the frame sequence into (end_frame, level, frame_bits, greedy)
-    runs: the plan's runs, with the one that spans the end of the greedy
-    cache phase split there."""
+def _frame_cost(spec: VideoSpec, level: int, dt: float) -> float:
+    """A frame's cost at ``level`` in bits / dt, the unit of the runs'
+    positions. Raises AbrPlanError where it is 0 or inf in floats: a frame
+    size that ``VideoSpec`` holds can underflow, or overflow, once divided
+    by the window's slot duration."""
+    bits = spec.frame_bits(level)
+    cost = bits / dt
+    if not 0 < cost < np.inf:
+        raise AbrPlanError(f"level {level}'s frame size, {bits!r} bits, divided by the {dt!r} s slot is {cost!r} in floats")
+    return cost
+
+
+def _runs(spec: VideoSpec, plan: QualityPlan, dt: float):
+    """Split the frame sequence into (end_frame, level, cost, greedy) runs
+    (cost by ``_frame_cost``): the plan's runs, with the one that spans the
+    end of the greedy cache phase split there."""
     n_greedy = spec.cache_segments
     fps = spec.frames_per_segment
     runs = []
     for start, end, level in plan.spans():
-        frame_bits = spec.frame_bits(level)
+        cost = _frame_cost(spec, level, dt)
         if start < n_greedy < end:
-            runs.append((n_greedy * fps, level, frame_bits, True))
+            runs.append((n_greedy * fps, level, cost, True))
             start = n_greedy
-        runs.append((end * fps, level, frame_bits, start < n_greedy))
+        runs.append((end * fps, level, cost, start < n_greedy))
     return runs
 
 
@@ -142,14 +154,15 @@ def transmit_video(
     position on the cumulative-capacity curve of its phase: the trace for
     greedy cache traffic, the schedule otherwise. Where the next run starts
     is the continuation rule, ``_next_start``, which ``_lowest_arrivals``
-    shares.
+    shares. A plan level whose frame cost is 0 or inf in floats raises
+    AbrPlanError (``_frame_cost``).
     """
     plan.validate(spec)
     if schedule.as_array.shape != trace.as_array.shape:
         raise ValueError("schedule was built on a different trace")
     dt = trace.slot_duration
     n_slots = trace.n_slots
-    runs = _runs(spec, plan)
+    runs = _runs(spec, plan, dt)
     moved = np.zeros(n_slots + 1)  # bits / dt delivered by each boundary
     counts = np.zeros(n_slots + 1, dtype=np.int64)
 
@@ -158,11 +171,11 @@ def transmit_video(
     f, base = 0, 0.0  # frames and bits delivered before the current run
     k, start = 0, 0.0  # slot the current run starts in, its start on its phase's curve
     last = 0  # last boundary written
-    for i, (run_end, level, frame_bits, greedy) in enumerate(runs):
+    for i, (run_end, level, cost, greedy) in enumerate(runs):
         if k >= n_slots:
             break
         phase = trace if greedy else schedule
-        stop, j, pos = _run_counts(counts, phase.cumulative, start, f, run_end, frame_bits / dt, k + 1)
+        stop, j, pos = _run_counts(counts, phase.cumulative, start, f, run_end, cost, k + 1)
         last = min(j, n_slots)
         moved[k + 1 : last + 1] = base + (pos - start)
         if j <= n_slots:

@@ -179,6 +179,26 @@ class TestPlan:
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
         assert ("frame size" in result.output or "too large" in result.output) and not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("window", ["underflow", "overflow"])
+    def test_frame_cost_outside_the_float_range_is_a_config_error(self, runner, tmp_path, window):
+        """A frame size the video spec holds whose cost is 0 or inf once
+        divided by the window's slot duration: 5e-324 bits over the 2 s
+        slots of ``--slot 2``, or 1e308 bits over 0.5 s slots."""
+        video, trace = tmp_path / "video.json", tmp_path / "trace.csv"
+        if window == "underflow":
+            levels, frame_rate, source = [1e-323, 0.4e6], 2.0, ["--synthetic-seed", "0", "--slot", "2"]
+        else:
+            levels, frame_rate, source = [0.4e6, 1e308], 1.0, ["--trace", str(trace)]
+            save_trace(CapacityTrace(0.5, (1e6,) * 20), trace)
+        video.write_text(json.dumps(dict(SMALL_VIDEO, n_segments=3, frames_per_segment=1, frame_rate=frame_rate,
+                                         prefetch_frames=1, levels=[{"bitrate_bps": b, "weight": w} for b, w in zip(levels, (0.5, 1.0))])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["plan", "--video", str(video), *source, "--a", "4.5", "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert "frame size" in result.output and not (tmp_path / "r.json").exists()
+
     def test_zero_rate_slot_after_level_change(self, runner, zero_rate_instance, tmp_path):
         trace, spec = zero_rate_instance
         video = tmp_path / "video.json"

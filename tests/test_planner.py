@@ -3,6 +3,7 @@ exhaustive oracle, and stall partitioning."""
 
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from abrplan import planner
 from abrplan import (
+    AbrPlanError,
     CapacityTrace,
     InfeasiblePartError,
     NoFeasibleSessionError,
@@ -30,12 +32,14 @@ from abrplan import (
     generate_synthetic,
     invest_threshold,
     invest_threshold_candidates,
+    make_threshold_schedule,
     optimal_threshold_candidates,
     plan_session,
     plan_with_stalls,
     relative_performance_error,
     save_trace,
     select_candidate,
+    transmit_video,
 )
 from abrplan.cli import main
 from abrplan.sim import session_length
@@ -312,6 +316,37 @@ class TestCandidateSelection:
         )
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+# (trace, spec, level): a frame size that VideoSpec holds, whose cost in
+# bits / dt is 0 or inf once divided by the window's slot duration
+DEGENERATE_FRAME_COSTS = {
+    "underflow": (CapacityTrace(2.0, (4e5,) * 6), VideoSpec(3, 1, 2.0, (QualityLevel(1e-323, 0.5), QualityLevel(4e5, 1.0)), 1), 1),
+    "overflow": (CapacityTrace(0.5, (4e5,) * 12), VideoSpec(3, 1, 1.0, (QualityLevel(4e5, 0.5), QualityLevel(1e308, 1.0)), 1), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_FRAME_COSTS))
+def test_a_frame_cost_outside_the_float_range_is_refused(case):
+    """5e-324 bits a frame over a 2 s slot is 0 bits / dt, and 1e308 bits
+    over a 0.5 s slot is inf: the window's search and a transmit of a plan
+    at that level each raise one AbrPlanError (CLI exit 4) before any
+    numpy warning."""
+    trace, spec, level = DEGENERATE_FRAME_COSTS[case]
+    alpha = min(trace.capacities)
+    plan = QualityPlan((1, 1, level))
+    calls = {
+        "enumerate_candidates": lambda: enumerate_candidates(trace, spec),
+        "fit_ascending_levels": lambda: fit_ascending_levels(trace, alpha, spec),
+        "exhaustive_best_plan": lambda: exhaustive_best_plan(trace, alpha, spec, 0.0),
+        "transmit_video": lambda: transmit_video(trace, make_threshold_schedule(trace, alpha), spec, plan),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AbrPlanError, match=f"level {level}'s frame size") as caught:
+                call()
+        assert type(caught.value) is AbrPlanError and caught.value.exit_code == 4, name
 
 
 class TestPlanSession:

@@ -2,6 +2,7 @@
 simulator, and planner (the contracts that hold for any valid input)."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import Phase, assume, example, find, given, settings, strategies
 from abrplan import planner
 from abrplan import (
     CapacityTrace,
+    InvalidScheduleError,
     NoFeasibleSessionError,
     OracleBudgetError,
     QualityLevel,
@@ -431,7 +433,7 @@ def lookup_mismatches(trace, alpha, spec, plan, suffix_lookup):
     schedule, dt = make_threshold_schedule(trace, alpha), trace.slot_duration
     window = planner._window(trace, spec)
     levels, n, fps = plan.segment_levels, spec.n_segments, spec.frames_per_segment
-    fits = {s: suffix_lookup(window, schedule.cumulative, spec.frame_bits(s) / dt, fps) for s in range(2, spec.n_levels + 1)}
+    fits = {s: suffix_lookup(window, schedule.cumulative, s, fps) for s in range(2, spec.n_levels + 1)}
     out = []
     for mid in range(spec.cache_segments, n):
         prefix = levels[:mid]
@@ -462,8 +464,9 @@ def test_lookup_matches_simulated_probe(instance):
     assert lookup_mismatches(*instance, planner._suffix_lookup) == []
 
 
-def _lookup_without_eps(window, curve, cost, fps):
+def _lookup_without_eps(window, curve, level, fps):
     """``planner._suffix_lookup`` without the _EPS * cost slack."""
+    cost = window.costs[level - 1]
     latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
 
     def fits(u, first):
@@ -473,9 +476,10 @@ def _lookup_without_eps(window, curve, cost, fps):
     return fits
 
 
-def _lookup_one_slot_early(window, curve, cost, fps):
+def _lookup_one_slot_early(window, curve, level, fps):
     """``planner._suffix_lookup`` with the run starting in the slot where
     the frames before it complete, one slot early."""
+    cost = window.costs[level - 1]
     latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
 
     def fits(u, first):
@@ -507,6 +511,117 @@ def test_segment_deadlines_are_searches_of_due(instance):
     assert len(window.at) == spec.n_segments
     for seg in range(spec.n_segments):
         assert window.at[seg] == window.due.searchsorted(seg * spec.frames_per_segment, side="right")
+
+
+def _lookup_as_computed_per_threshold(window, curve, cost, fps):
+    """``planner._suffix_lookup`` as it was when each threshold computed its
+    levels' due bits ``due * cost`` and the test's operands itself."""
+    latest = np.minimum.accumulate((curve - window.due * cost)[::-1])[::-1]
+
+    def fits(u, first):
+        k = int(u.searchsorted(first))
+        return k < len(curve) - 1 and curve[k] <= latest[window.at[first // fps]] + first * cost + _EPS * cost
+
+    return fits
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_window_holds_each_levels_cost_and_due_bits(instance):
+    """The per-level constants the window computes once are each level's
+    frame cost ``frame_bits / dt`` and its due bits ``due * cost``, the same
+    floats a threshold computed for itself, and the lookups built on them
+    answer as that threshold's did at every segment start, on the arrivals
+    of the drawn plan and of the all-level-1 plan."""
+    trace, alpha, spec, plan = instance
+    window = planner._window(trace, spec)
+    if window is None:
+        return
+    dt, fps = trace.slot_duration, spec.frames_per_segment
+    assert len(window.costs) == len(window.due_bits) == spec.n_levels
+    for s in range(1, spec.n_levels + 1):
+        cost = spec.frame_bits(s) / dt
+        assert window.costs[s - 1].hex() == cost.hex()
+        assert [x.hex() for x in window.due_bits[s - 1]] == [x.hex() for x in window.due * cost]
+    schedule = make_threshold_schedule(trace, alpha)
+    arrivals = (transmit_video(trace, schedule, spec, plan).frames_at_boundary, window.lowest_arrivals(schedule))
+    for s in range(2, spec.n_levels + 1):
+        fits = planner._suffix_lookup(window, schedule.cumulative, s, fps)
+        parent = _lookup_as_computed_per_threshold(window, schedule.cumulative, spec.frame_bits(s) / dt, fps)
+        for u in arrivals:
+            for seg in range(spec.n_segments):
+                assert fits(u, seg * fps) == parent(u, seg * fps)
+
+
+def _utilization_computed_afresh(trace, bits, length):
+    """``compute_utilization`` with the slot volumes computed on the call."""
+    c = np.asarray(trace.capacities, dtype=float)
+    volume = c * trace.slot_duration
+    over = bits > volume * (1 + 1e-9) + 1e-9
+    if over.any():
+        k = int(np.flatnonzero(over)[0])
+        if c[k] == 0:
+            raise InvalidScheduleError(f"bits used on zero-capacity slot {k}")
+        raise InvalidScheduleError(f"slot {k} used {bits[k]} bits, volume is {volume[k]}")
+    used = volume > 0
+    ratio = np.zeros_like(bits)
+    ratio[used] = bits[used] / volume[used]
+    return float(ratio.sum() * trace.slot_duration / length)
+
+
+def _utilization_or_error(utilization, trace, bits):
+    try:
+        return utilization(trace, bits, trace.window_length).hex()
+    except InvalidScheduleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.integers(0, 11), st.integers(0, 11))
+def test_utilization_reads_the_traces_cached_volumes(instance, first, slot):
+    """σ from the volumes cached on the trace is σ from volumes computed on
+    the call, as float hex, on the first call and on the next, and on a
+    tail of the trace read after the trace; bits on a zero-capacity slot
+    and bits over a slot's volume raise the same errors."""
+    trace, alpha, spec, plan = instance
+    for tail in (False, True):
+        t = trace.tail(first % trace.n_slots) if tail else trace  # the tail comes once the trace's volumes are cached
+        bits = transmit_video(t, make_threshold_schedule(t, alpha), spec, plan).bits_used_per_slot
+        k = slot % t.n_slots
+        zero = np.flatnonzero(np.asarray(t.capacities) == 0)
+        on_zero = bits.copy()
+        on_zero[zero[:1]] = 1.0
+        over = bits.copy()
+        over[k] = 2 * t.capacities[k] * t.slot_duration + 1.0
+        for case in (bits, on_zero, over):
+            want = _utilization_or_error(_utilization_computed_afresh, t, case)
+            assert _utilization_or_error(compute_utilization, t, case) == want
+            assert _utilization_or_error(compute_utilization, t, case) == want
+        assert _utilization_or_error(compute_utilization, t, over).startswith(
+            f"bits used on zero-capacity slot {k}" if t.capacities[k] == 0 else f"slot {k} used"
+        )
+        if zero.size:
+            assert _utilization_or_error(compute_utilization, t, on_zero) == f"bits used on zero-capacity slot {zero[0]}"
+
+
+@FAST
+@given(specs(max_levels=4), st.integers(1, 8))
+def test_spec_counts_are_cached_per_spec(spec, n_segments):
+    """The counts a spec caches are its own, on a spec made by
+    ``dataclasses.replace`` (a part spec of ``plan_with_stalls``) too, and
+    reading them leaves ==, hash and repr as they were."""
+    unread = dataclasses.replace(spec)
+    before = repr(spec), hash(spec)
+    fps = spec.frames_per_segment
+    for _ in range(2):
+        assert spec.n_levels == len(spec.levels)
+        assert spec.total_frames == spec.n_segments * fps
+        assert spec.cache_segments == min(spec.n_segments, math.ceil(spec.prefetch_frames / fps))
+    assert (repr(spec), hash(spec)) == before == (repr(unread), hash(unread)) and spec == unread
+    part = dataclasses.replace(spec, n_segments=n_segments, prefetch_frames=min(spec.prefetch_frames, n_segments * fps))
+    assert (part.n_levels, part.total_frames) == (len(spec.levels), n_segments * fps)
+    assert part.cache_segments == min(n_segments, math.ceil(part.prefetch_frames / fps))
+    assert (part == spec) == (n_segments == spec.n_segments and part.prefetch_frames == spec.prefetch_frames)
 
 
 @FAST
